@@ -14,7 +14,6 @@ from .eigenstates import (
     entanglement_deviation,
 )
 from .linalg import (
-    BACKEND,
     ConvergenceError,
     EigenSystem,
     SymMatrix,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BACKEND",
     "BRANCHES",
     "NU_CAP",
     "AbsorptionCurve",

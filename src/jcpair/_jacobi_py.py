@@ -1,7 +1,7 @@
-"""Cyclic Jacobi sweeps, pure-Python kernel.
+"""Cyclic Jacobi sweeps: the rotation kernel behind ``linalg.eig_sym``.
 
-Operation-for-operation twin of the compiled kernel in ``_jacobi.pyx``;
-both backends produce bit-identical output for the same input.
+The sweeps run on nested Python lists copied from the input arrays; the
+results are copied back into those arrays on return.
 """
 
 from __future__ import annotations
@@ -29,12 +29,6 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
             total += row[j] * row[j]
     thresh = rel_tol * math.sqrt(total)
 
-    def writeback() -> None:
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = aw[i][j]
-                v[i, j] = vw[i][j]
-
     sweeps_done = 0
     while True:
         off = 0.0
@@ -43,11 +37,10 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
             for j in range(i + 1, n):
                 off += 2.0 * row[j] * row[j]
         if math.sqrt(off) <= thresh:
-            writeback()
-            return sweeps_done
+            break
         if sweeps_done == max_sweeps:
-            writeback()
-            return -1
+            sweeps_done = -1
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = aw[p][q]
@@ -80,3 +73,6 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
                     vw[k][p] = c * vkp - s * vkq
                     vw[k][q] = s * vkp + c * vkq
         sweeps_done += 1
+    a[:] = aw
+    v[:] = vw
+    return sweeps_done

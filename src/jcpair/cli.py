@@ -61,10 +61,27 @@ def _require_sweep(cfg: RunConfig, command: str):
     return np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.count)
 
 
+def _require_finite(what: str, *arrays) -> None:
+    """Raise before anything is written if a computed number is inf or nan."""
+    for values in arrays:
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{what}: computed values are not finite; nothing written")
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     grid = _require_sweep(cfg, "spectrum")
     sweep = sweep_spectrum(cfg.params, grid)
+    summary = {}
+    for epsilon, name in ((+1, "epsilon=+1"), (-1, "epsilon=-1")):
+        delta_at_min, gap = min_gap(sweep, epsilon)
+        summary[name] = {"delta_at_min_gap": delta_at_min, "min_gap": gap}
+    _require_finite(
+        "spectrum",
+        sweep.deltas,
+        *(sweep.branch(label) for label in BRANCHES),
+        [value for entry in summary.values() for value in entry.values()],
+    )
 
     header = ["delta"] + [f"omega_{label.key}" for label in BRANCHES]
     rows = []
@@ -73,10 +90,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             [float(sweep.deltas[i])]
             + [float(sweep.branch(label)[i]) for label in BRANCHES]
         )
-    summary = {}
-    for epsilon, name in ((+1, "epsilon=+1"), (-1, "epsilon=-1")):
-        delta_at_min, gap = min_gap(sweep, epsilon)
-        summary[name] = {"delta_at_min_gap": delta_at_min, "min_gap": gap}
 
     if args.format == "csv":
         _write_text(args.out, _csv_text(header, rows))
@@ -92,7 +105,9 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     if cfg.damping is None:
         raise ConfigError("damping rates (at least gamma_a) are required for 'absorption'")
     grid = _require_sweep(cfg, "absorption")
-    curve = susceptibility_curve(cfg.params, cfg.damping, grid)
+    with np.errstate(all="ignore"):  # overflow is reported by _require_finite below
+        curve = susceptibility_curve(cfg.params, cfg.damping, grid)
+    _require_finite("absorption", curve.omega_p, curve.chi)
 
     peaks = peak_report(curve)
     metric = symmetry_metric(curve) if len(peaks) >= 2 else None
@@ -103,6 +118,10 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     }
     if len(peaks) > 2:
         summary["height_imbalance_all_peaks"] = symmetry_metric(curve, n_peaks=len(peaks))
+    _require_finite(
+        "absorption summary",
+        [value for key, value in summary.items() if key != "peaks" and value is not None],
+    )
     header = ["omega_p", "re_chi", "im_chi"]
     rows = [
         [float(curve.omega_p[i]), float(curve.re_chi[i]), float(curve.im_chi[i])]
@@ -288,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,6 +11,7 @@ to the coupling; omitted omega_a defaults to omega_c (zero detuning).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import DampingParams, SystemParams
@@ -36,6 +37,13 @@ class SweepSpec:
     count: int
 
     def __post_init__(self) -> None:
+        for key, value in (("sweep_start", self.start), ("sweep_stop", self.stop)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError(
+                f"sweep_stop - sweep_start overflows: {self.stop} - {self.start}"
+            )
         if self.count < 2:
             raise ConfigError(f"sweep_count must be >= 2, got {self.count}")
         if not self.start < self.stop:

@@ -3,10 +3,7 @@
 This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  numpy is used purely
-as an array container.  Two interchangeable kernels exist: a compiled
-Cython extension and a pure-Python twin; the compiled one is preferred at
-import time and the environment variable ``JCPAIR_PURE_PYTHON=1`` forces
-the fallback.
+as an array container; the rotation sweeps run in ``_jacobi_py``.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
@@ -18,28 +15,14 @@ eigenvalue multisets, never specific eigenvector entries.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-if os.environ.get("JCPAIR_PURE_PYTHON"):
-    from . import _jacobi_py as _kernel
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _jacobi as _kernel  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _jacobi_py as _kernel  # type: ignore[no-redef]
-
-        BACKEND = "python"
+from . import _jacobi_py as _kernel
 
 __all__ = [
-    "BACKEND",
     "REL_TOL",
     "MAX_SWEEPS",
     "ConvergenceError",

@@ -198,17 +198,16 @@ def peak_report(curve: AbsorptionCurve) -> list[tuple[float, float]]:
     """All strict local maxima of Im chi on the grid, sorted by position.
 
     A grid point counts as a peak when its value strictly exceeds both
-    neighbours; no sub-grid interpolation is attempted, so positions are
-    accurate to the grid step.
+    neighbours, so a flat top of equal neighbours is no peak and the first
+    and last grid points never are.  No sub-grid interpolation is attempted,
+    so positions are accurate to the grid step.
     """
     if len(curve) == 0:
         raise ValueError("empty curve")
     y = curve.im_chi
-    peaks: list[tuple[float, float]] = []
-    for i in range(1, len(curve) - 1):
-        if y[i] > y[i - 1] and y[i] > y[i + 1]:
-            peaks.append((float(curve.omega_p[i]), float(y[i])))
-    return peaks
+    interior = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])
+    index = np.flatnonzero(interior) + 1
+    return list(zip(curve.omega_p[index].tolist(), y[index].tolist()))
 
 
 def symmetry_metric(curve: AbsorptionCurve, n_peaks: int = 2) -> float:

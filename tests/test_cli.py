@@ -249,3 +249,51 @@ class TestUsageErrors:
         cfg = write(tmp_path / "run.cfg", "g = 1\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 2\n")
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["spectrum", "--config", cfg, "--out", str(missing_dir)]) == 2
+
+
+class TestNonFiniteAndOversized:
+    """Bad input ends with exit 2, one stderr line and no output file."""
+
+    def run(self, tmp_path, capsys, command, text):
+        cfg = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "out.csv"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "out.csv.summary.json").exists()
+        return code, err
+
+    def test_infinite_sweep_start(self, tmp_path, capsys):
+        code, err = self.run(
+            tmp_path, capsys, "spectrum", "sweep_start = -inf\nsweep_stop = 1\nsweep_count = 5\n"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "sweep_start must be finite" in err
+
+    def test_sweep_count_too_large_to_allocate(self, tmp_path, capsys):
+        # 1e17 points ask for 711 PiB, which no allocator grants, so the
+        # request fails at once without touching memory.
+        code, err = self.run(
+            tmp_path, capsys, "spectrum", "sweep_start = 0\nsweep_stop = 1\nsweep_count = 1e17\n"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "out of memory" in err
+
+    def test_spectrum_overflow_writes_nothing(self, tmp_path, capsys):
+        code, err = self.run(
+            tmp_path, capsys, "spectrum", "g = 1e200\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 3\n"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "not finite" in err
+
+    def test_absorption_overflow_writes_nothing(self, tmp_path, capsys):
+        # The grid hits the bright resonances at +/-1 exactly, where a
+        # subnormal probe linewidth makes the Lorentzians overflow.
+        code, err = self.run(
+            tmp_path,
+            capsys,
+            "absorption",
+            "omega_a = 2\nkappa = 2\ngamma = 0.01\ngamma_c = 0.02\ngamma_a = 1e-320\n"
+            "sweep_start = -1\nsweep_stop = 1\nsweep_count = 3\n",
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "not finite" in err

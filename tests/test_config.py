@@ -78,6 +78,10 @@ class TestErrors:
             ("sweep_start = 0\nsweep_stop = 1\nsweep_count = 1\n", "sweep_count"),
             ("sweep_start = 1\nsweep_stop = 0\nsweep_count = 5\n", "sweep_start"),
             ("sweep_start = 0\nsweep_stop = 1\nsweep_count = 2.5\n", "sweep_count"),
+            ("sweep_start = -inf\nsweep_stop = 1\nsweep_count = 5\n", "sweep_start must be finite"),
+            ("sweep_start = 0\nsweep_stop = inf\nsweep_count = 5\n", "sweep_stop must be finite"),
+            ("sweep_start = nan\nsweep_stop = 1\nsweep_count = 5\n", "sweep_start must be finite"),
+            ("sweep_start = -1e308\nsweep_stop = 1e308\nsweep_count = 3\n", "overflows"),
             ("just some words\n", "key = value"),
         ],
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -121,25 +122,33 @@ class TestEigSym:
             assert np.max(np.abs(eig_sym(rotated).values - eig_sym(a).values)) <= 1e-9
 
 
-class TestBackends:
-    def test_backend_reported(self):
-        assert linalg.BACKEND in ("compiled", "python")
+class TestPinnedBits:
+    """Bit-level regression gate for the Jacobi kernel.
 
-    def test_kernels_agree_bitwise(self):
-        compiled = pytest.importorskip("jcpair._jacobi")
-        from jcpair import _jacobi_py
+    The sweep counts and SHA-256 digests pin the kernel's exact output; a
+    rewrite of the rotation arithmetic (say, a batched kernel) must
+    reproduce them bit for bit.
+    """
 
-        rng = np.random.default_rng(42)
-        for n in (1, 2, 4, 7, 12, 16):
-            m = rng.normal(size=(n, n))
-            m = 0.5 * (m + m.T)
-            a1, v1 = m.copy(), np.eye(n)
-            a2, v2 = m.copy(), np.eye(n)
-            s1 = compiled.jacobi_cycle(a1, v1, linalg.REL_TOL, linalg.MAX_SWEEPS)
-            s2 = _jacobi_py.jacobi_cycle(a2, v2, linalg.REL_TOL, linalg.MAX_SWEEPS)
-            assert s1 == s2 >= 0
-            assert np.array_equal(a1, a2)
-            assert np.array_equal(v1, v2)
+    @pytest.mark.parametrize(
+        "n,sweeps,digest",
+        [
+            (1, 0, "8b652168da78d520b22ceea909a4a7ae012c176388f1c78f703e50b09e41168d"),
+            (2, 1, "62eaa07ee8493e864c06c3e8821ba638ea037d7594af0ae168c267a96ab16706"),
+            (4, 4, "3194ca45cbdcc7fc1e0d783b320b9602ddf4cc6102abdfd81c6fbcffd44a93c2"),
+            (7, 5, "b4470bbb7e5dbb3eace0395caa48e2922a9f4499991225f7418f81f1b3159bd1"),
+            (12, 6, "3fe38d955059cfdc9bcd2f13efa98dfcf3fdca71a64bfdd7b98503d55a25d633"),
+            (16, 7, "a232f1d86381cdcc9cfc343c5462344c91ec18daa4d134c2bcb822acf1b180a3"),
+            (48, 8, "d4fa4edc3163e24638a93bf6719cbdb3d6a5e4a91b9d60f77a0654786b706d79"),
+        ],
+    )
+    def test_sweeps_and_output_bits(self, n, sweeps, digest):
+        a = random_symmetric(random.Random(1000 + n), n)
+        work, vecs = a.to_array(), np.eye(n)
+        assert linalg._kernel.jacobi_cycle(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS) == sweeps
+        system = eig_sym(a)
+        bits = system.values.tobytes() + system.vectors.tobytes()
+        assert hashlib.sha256(bits).hexdigest() == digest
 
 
 class TestMultisetEqual:

@@ -279,6 +279,16 @@ class TestPeaksAndSymmetry:
         assert len(peaks) == 1
         assert peaks[0][0] == pytest.approx(0.35, abs=0.011)
 
+    def test_flat_tops_and_edges_are_not_peaks(self):
+        grid = np.arange(9.0)
+        im = np.array([5.0, 1.0, 3.0, 3.0, 1.0, 2.0, 1.0, 0.0, 4.0])
+        curve = AbsorptionCurve(omega_p=grid, chi=1j * im)
+        # 3.0, 3.0 is a flat top of equal neighbours; 5.0 and 4.0 sit on
+        # the grid edges; only the strict interior maximum at 5 remains.
+        assert peak_report(curve) == [(5.0, 2.0)]
+        short = AbsorptionCurve(omega_p=np.arange(2.0), chi=1j * np.array([0.0, 1.0]))
+        assert peak_report(short) == []
+
     def test_equal_synthetic_peaks_score_zero(self):
         grid = np.linspace(-3.0, 3.0, 601)
         chi = 0.1 / (-1.0 - grid - 0.05j) + 0.1 / (1.0 - grid - 0.05j)
