@@ -26,18 +26,15 @@ from .susceptibility import (
 __all__ = ["main", "build_parser"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
+def _rows(columns: list):
+    """Rows of Python values from equal-length columns (arrays or lists)."""
+    return zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], columns: list) -> str:
+    # str of a Python float is its shortest round-trip repr.
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(value) for value in row))
+    lines.extend(",".join(map(str, row)) for row in _rows(columns))
     return "\n".join(lines) + "\n"
 
 
@@ -71,30 +68,24 @@ def _require_finite(what: str, *arrays) -> None:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     grid = _require_sweep(cfg, "spectrum")
-    sweep = sweep_spectrum(cfg.params, grid)
-    summary = {}
-    for epsilon, name in ((+1, "epsilon=+1"), (-1, "epsilon=-1")):
-        delta_at_min, gap = min_gap(sweep, epsilon)
-        summary[name] = {"delta_at_min_gap": delta_at_min, "min_gap": gap}
+    with np.errstate(all="ignore"):  # overflow is reported by _require_finite below
+        sweep = sweep_spectrum(cfg.params, grid)
+        summary = {}
+        for epsilon, name in ((+1, "epsilon=+1"), (-1, "epsilon=-1")):
+            delta_at_min, gap = min_gap(sweep, epsilon)
+            summary[name] = {"delta_at_min_gap": delta_at_min, "min_gap": gap}
+    columns = [sweep.deltas] + [sweep.branch(label) for label in BRANCHES]
     _require_finite(
         "spectrum",
-        sweep.deltas,
-        *(sweep.branch(label) for label in BRANCHES),
+        *columns,
         [value for entry in summary.values() for value in entry.values()],
     )
 
     header = ["delta"] + [f"omega_{label.key}" for label in BRANCHES]
-    rows = []
-    for i in range(len(sweep)):
-        rows.append(
-            [float(sweep.deltas[i])]
-            + [float(sweep.branch(label)[i]) for label in BRANCHES]
-        )
-
     if args.format == "csv":
-        _write_text(args.out, _csv_text(header, rows))
+        _write_text(args.out, _csv_text(header, columns))
     else:
-        data = [dict(zip(header, row)) for row in rows]
+        data = [dict(zip(header, row)) for row in _rows(columns)]
         payload = {"config": config_dict(cfg), "data": data, "summary": summary}
         _write_text(args.out, _json_text(payload))
     return 0
@@ -123,16 +114,12 @@ def cmd_absorption(args: argparse.Namespace) -> int:
         [value for key, value in summary.items() if key != "peaks" and value is not None],
     )
     header = ["omega_p", "re_chi", "im_chi"]
-    rows = [
-        [float(curve.omega_p[i]), float(curve.re_chi[i]), float(curve.im_chi[i])]
-        for i in range(len(curve))
-    ]
-
+    columns = [curve.omega_p, curve.re_chi, curve.im_chi]
     if args.format == "csv":
-        _write_text(args.out, _csv_text(header, rows))
+        _write_text(args.out, _csv_text(header, columns))
         _write_text(args.out + ".summary.json", _json_text(summary))
     else:
-        data = [dict(zip(header, row)) for row in rows]
+        data = [dict(zip(header, row)) for row in _rows(columns)]
         payload = {"config": config_dict(cfg), "data": data, "summary": summary}
         _write_text(args.out, _json_text(payload))
     return 0
@@ -194,21 +181,15 @@ def cmd_eigenstates(args: argparse.Namespace) -> int:
         return 0
     if args.format == "csv":
         header = ["epsilon", "branch", "r", "u", "w", "deviation", "classification"]
-        rows = []
-        for record in records:
-            key = f"epsilon={'+' if record['epsilon'] > 0 else '-'}1"
-            rows.append(
-                [
-                    record["epsilon"],
-                    record["branch"],
-                    record["r"],
-                    record["u"],
-                    record["w"],
-                    summary[key]["entanglement_deviation"],
-                    record["classification"],
-                ]
-            )
-        _write_text(args.out, _csv_text(header, rows))
+        deviations = [
+            summary[f"epsilon={'+' if record['epsilon'] > 0 else '-'}1"]["entanglement_deviation"]
+            for record in records
+        ]
+        columns = [
+            deviations if name == "deviation" else [record[name] for record in records]
+            for name in header
+        ]
+        _write_text(args.out, _csv_text(header, columns))
         return 0
 
     lines = [
@@ -307,6 +288,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: overflow: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

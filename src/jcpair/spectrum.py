@@ -14,7 +14,6 @@ atom-cavity coupling g turns them into avoided crossings with minimum gap
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,6 +25,7 @@ __all__ = [
     "BranchLabel",
     "BRANCHES",
     "SpectrumSweep",
+    "energies",
     "one_excitation_energies",
     "one_excitation_energies_perturbative",
     "sweep_spectrum",
@@ -68,14 +68,24 @@ BRANCHES: tuple[BranchLabel, ...] = (
 )
 
 
+_EPSILON = np.array([label.epsilon for label in BRANCHES], dtype=float)
+_BRANCH = np.array([label.branch for label in BRANCHES], dtype=float)
+
+
+def energies(omega_c: float, delta, g: float, kappa: float) -> np.ndarray:
+    """The four one-excitation energies, columns in ``BRANCHES`` order.
+
+    Only ``delta`` may be an array; the result has shape ``np.shape(delta) +
+    (4,)``.  Every element is rounded exactly as the scalar float expression
+    ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``.
+    """
+    x = np.add.outer(delta, _EPSILON * kappa)
+    return omega_c - 0.5 * x + _BRANCH * np.sqrt(g * g + 0.25 * x * x)
+
+
 def one_excitation_energies(p: SystemParams) -> dict[BranchLabel, float]:
     """All four one-excitation energies, keyed by branch label."""
-    out: dict[BranchLabel, float] = {}
-    for label in BRANCHES:
-        x = p.delta + label.epsilon * p.kappa
-        root = math.sqrt(p.g * p.g + 0.25 * x * x)
-        out[label] = p.omega_c - 0.5 * x + label.branch * root
-    return out
+    return dict(zip(BRANCHES, energies(p.omega_c, p.delta, p.g, p.kappa).tolist()))
 
 
 def one_excitation_energies_perturbative(p: SystemParams) -> dict[BranchLabel, float]:
@@ -122,27 +132,35 @@ class SpectrumSweep:
         return {label: float(self.energies[label][i]) for label in BRANCHES}
 
 
+def _ascending_grid(name: str, values: Iterable[float]) -> np.ndarray:
+    """``values`` as a float array, checked to be nonempty, 1-d and strictly ascending."""
+    grid = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} grid must be a nonempty 1-d sequence")
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{name} grid must be strictly ascending")
+    return grid
+
+
 def sweep_spectrum(p: SystemParams, deltas: Iterable[float]) -> SpectrumSweep:
     """Evaluate the closed-form energies at every detuning of the grid.
 
     The detuning is taken from the grid; ``p.omega_a`` is ignored.  The grid
-    must be nonempty and strictly ascending.  Evaluation is a pure per-point
-    function, so the result is identical to sequential evaluation no matter
-    how it is scheduled.
+    must be nonempty and strictly ascending.  Each grid point is evaluated
+    as ``SystemParams(omega_a=omega_c + delta)`` would be, so the detuning
+    used is ``(omega_c + delta) - omega_c`` and an atom frequency that
+    overflows is rejected.
     """
-    grid = np.asarray(list(deltas) if not isinstance(deltas, np.ndarray) else deltas, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("delta grid must be a nonempty 1-d sequence")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("delta grid must be strictly ascending")
-    columns: dict[BranchLabel, np.ndarray] = {label: np.empty(grid.size) for label in BRANCHES}
-    for i, d in enumerate(grid):
-        point = SystemParams(omega_c=p.omega_c, omega_a=p.omega_c + float(d), g=p.g, kappa=p.kappa)
-        for label, energy in one_excitation_energies(point).items():
-            columns[label][i] = energy
-    for column in columns.values():
-        column.setflags(write=False)
+    grid = _ascending_grid("delta", deltas)
+    with np.errstate(over="ignore"):
+        omega_a = p.omega_c + grid
+    finite = np.isfinite(omega_a)
+    if not finite.all():
+        raise ValueError(f"omega_a must be finite, got {float(omega_a[~finite][0])!r}")
+    table = energies(p.omega_c, omega_a - p.omega_c, p.g, p.kappa)
+    table.setflags(write=False)
     grid.setflags(write=False)
+    columns = {label: table[:, k] for k, label in enumerate(BRANCHES)}
     return SpectrumSweep(deltas=grid, energies=columns)
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .eigenstates import EigenAmplitudes, amplitudes, branch_detuning
 from .model import DampingParams, SystemParams
-from .spectrum import BRANCHES, BranchLabel, _check_sign, one_excitation_energies
+from .spectrum import BRANCHES, BranchLabel, _ascending_grid, _check_sign, one_excitation_energies
 
 __all__ = [
     "TransitionTable",
@@ -130,17 +130,6 @@ def transition_table(p: SystemParams, d: DampingParams) -> TransitionTable:
     return TransitionTable(rates=rates, centers=centers)
 
 
-def _probe_grid(omega_p: Iterable[float]) -> np.ndarray:
-    grid = np.asarray(
-        list(omega_p) if not isinstance(omega_p, np.ndarray) else omega_p, dtype=float
-    )
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("probe grid must be a nonempty 1-d sequence")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("probe grid must be strictly ascending")
-    return grid
-
-
 def susceptibility_curve(
     p: SystemParams, d: DampingParams, omega_p: Iterable[float]
 ) -> AbsorptionCurve:
@@ -151,7 +140,7 @@ def susceptibility_curve(
     """
     if d.gamma_a <= 0:
         raise ValueError(f"gamma_a must be > 0, got {d.gamma_a}")
-    grid = _probe_grid(omega_p)
+    grid = _ascending_grid("probe", omega_p)
     table = transition_table(p, d)
     chi = np.zeros(grid.size, dtype=complex)
     for label in BRANCHES:
@@ -183,7 +172,7 @@ def absorption_imag(
             "two-Lorentzian form requires symmetric damping; "
             "use susceptibility_curve for per-cell rates"
         )
-    grid = _probe_grid(omega_p)
+    grid = _ascending_grid("probe", omega_p)
     centers = one_excitation_energies(p)
     a = amplitudes(branch_detuning(p, -1), -1)
     gamma_plus, gamma_minus = transition_probabilities(a, d, -1)

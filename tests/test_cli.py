@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -285,6 +286,30 @@ class TestNonFiniteAndOversized:
         assert code == 2
         assert err.count("\n") == 1 and "not finite" in err
 
+    def test_spectrum_overflowing_sweep_bounds(self, tmp_path, capsys):
+        # The grid is finite, but x*x/4 overflows at both ends.
+        code, err = self.run(
+            tmp_path,
+            capsys,
+            "spectrum",
+            "sweep_start = -1e200\nsweep_stop = 1e200\nsweep_count = 3\n",
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "not finite" in err
+
+    @pytest.mark.parametrize("command", ["absorption", "eigenstates"])
+    def test_damping_rate_overflow(self, tmp_path, capsys, command):
+        # (sqrt(gamma1) + sqrt(gamma2))**2 = 4e308 overflows a float.
+        code, err = self.run(
+            tmp_path,
+            capsys,
+            command,
+            "gamma = 1e308\ngamma_c = 0.02\ngamma_a = 0.05\n"
+            "sweep_start = -1\nsweep_stop = 1\nsweep_count = 3\n",
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "overflow" in err
+
     def test_absorption_overflow_writes_nothing(self, tmp_path, capsys):
         # The grid hits the bright resonances at +/-1 exactly, where a
         # subnormal probe linewidth makes the Lorentzians overflow.
@@ -297,3 +322,84 @@ class TestNonFiniteAndOversized:
         )
         assert code == 2
         assert err.count("\n") == 1 and "not finite" in err
+
+
+
+class TestPinnedOutputBytes:
+    """SHA-256 of every output file on fixed configs.
+
+    Recorded before the closed form and the CSV writer were vectorized; a
+    refactor of the compute or output layers must keep these bytes.
+    """
+
+    CONFIGS = {
+        # omega_c is not a binary fraction, so the detuning the sweep uses,
+        # (omega_c + delta) - omega_c, differs from the grid value at 200 points.
+        "spectrum": (
+            "omega_c = 0.3\ng = 0.7\nkappa = 1.3\n"
+            "sweep_start = -3\nsweep_stop = 3\nsweep_count = 2001\n"
+        ),
+        "shared": ABSORPTION_CFG,
+        "per_cell": (
+            "omega_a = -2\nkappa = 2\n"
+            "gamma1 = 0.01\ngamma2 = 0.2\ngammac1 = 0.2\ngammac2 = 0.01\ngamma_a = 0.05\n"
+            "sweep_start = -5\nsweep_stop = 5\nsweep_count = 2001\n"
+        ),
+        "eigenstates": (
+            "omega_c = 0.3\nomega_a = 2.8\nkappa = -1.1\n"
+            "gamma1 = 0.01\ngamma2 = 0.2\ngammac1 = 0.2\ngammac2 = 0.01\ngamma_a = 0.05\n"
+        ),
+    }
+
+    @staticmethod
+    def output_hashes(tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.glob("out*"))
+        }
+
+    @pytest.mark.parametrize(
+        "command, config, fmt, expected",
+        [
+            ("spectrum", "spectrum", "csv", {
+                "out": "643293ddeb361f98f8ee29869f5bcc2fd0603aa1eb23d7df660064069f209b3b",
+            }),
+            ("spectrum", "spectrum", "json", {
+                "out": "fa68e3f206ac03237d3f4bc130944d2444d31af01b9793098479b2ab1dc55a75",
+            }),
+            ("absorption", "shared", "csv", {
+                "out": "d14bc32c5d99b8d9aacacf4f159d7b26800251c88486f97043a4b98f36899eb9",
+                "out.summary.json": "0a78c2d3247c3790b335cd55b3b4adda561d833d3b735508eac5711d6891d532",
+            }),
+            ("absorption", "shared", "json", {
+                "out": "a8f1b91dedfe9fc50c0c84e236a2fd4c2eb63637d3b4c5de3085947e82afd52c",
+            }),
+            ("absorption", "per_cell", "csv", {
+                "out": "3c5fe04202505eb1308bfa4753fb2b7624ce84823d4e47a293824dae7f6029e7",
+                "out.summary.json": "d6a34626d80f848e4d29a208774b2d42d23e79150118d56567886eddec8678d2",
+            }),
+            ("absorption", "per_cell", "json", {
+                "out": "55fc7506bf4a78bbe281b47e9e4eb85a6c96f6a01ddea1685e76d9e63b7d584e",
+            }),
+            ("eigenstates", "eigenstates", "csv", {
+                "out": "f69599ed5d067817ea5ad363cfac8942e15a5f30395cbe579bfdf2eb8cdfe121",
+            }),
+            ("eigenstates", "eigenstates", "json", {
+                "out": "8f8498cda804ddc6b51c5e1520fcadab5dfd1e094bebffa3fbfb3f3511e711b2",
+            }),
+            ("eigenstates", "eigenstates", "text", {
+                "out": "857b8adcc591307d0de2d2ed68a0762af863a5c80a82fee5d5a4585ebe88ba67",
+            }),
+        ],
+    )
+    def test_command_output(self, tmp_path, command, config, fmt, expected):
+        cfg = write(tmp_path / "run.cfg", self.CONFIGS[config])
+        argv = [command, "--config", cfg, "--format", fmt]
+        assert self.output_hashes(tmp_path, argv) == expected
+
+    def test_validate_text(self, tmp_path):
+        argv = ["validate", "--seed", "1", "--trials", "1000"]
+        assert self.output_hashes(tmp_path, argv) == {
+            "out": "40e915c6c822cbe43359c5ec72f67f080293499df5725185eff78bc8d183e77f",
+        }

@@ -23,6 +23,30 @@ def params(delta=0.0, omega_c=0.0, g=1.0, kappa=0.0):
     return SystemParams(omega_c=omega_c, omega_a=omega_c + delta, g=g, kappa=kappa)
 
 
+def reference_energies(omega_c, delta, g, kappa):
+    """The closed form as a scalar loop over branches in plain float arithmetic."""
+    out = []
+    for label in BRANCHES:
+        x = delta + label.epsilon * kappa
+        root = math.sqrt(g * g + 0.25 * x * x)
+        out.append(omega_c - 0.5 * x + label.branch * root)
+    return out
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# Signed values with magnitudes spread evenly over 1e-150 .. 1e150, and zero.
+magnitudes = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-150, 149),
+)
+values = st.one_of(st.just(0.0), magnitudes)
+
+
 class TestBranchLabel:
     def test_keys(self):
         assert [label.key for label in BRANCHES] == ["pp", "pm", "mp", "mm"]
@@ -167,9 +191,28 @@ class TestSweep:
         p = params(g=0.7, kappa=1.3, omega_c=0.2)
         sweep = sweep_spectrum(p, grid)
         for i, delta in enumerate(grid):
-            point = SystemParams(p.omega_c, p.omega_c + delta, p.g, p.kappa)
-            for label, energy in one_excitation_energies(point).items():
-                assert sweep.branch(label)[i] == energy
+            # the detuning the sweep evaluates is omega_a - omega_c, not delta
+            point_delta = (p.omega_c + delta) - p.omega_c
+            expected = reference_energies(p.omega_c, point_delta, p.g, p.kappa)
+            assert bits([sweep.branch(label)[i] for label in BRANCHES]) == bits(expected)
+
+    @given(
+        omega_c=values,
+        grid=st.lists(values, min_size=1, max_size=6, unique=True).map(sorted),
+        g=values.map(abs),
+        kappa=values,
+    )
+    def test_bitwise_equal_to_scalar_reference(self, omega_c, grid, g, kappa):
+        sweep = sweep_spectrum(SystemParams(omega_c, omega_c, g, kappa), grid)
+        for i, delta in enumerate(grid):
+            p = SystemParams(omega_c, omega_c + delta, g, kappa)
+            expected = bits(reference_energies(omega_c, p.delta, g, kappa))
+            assert bits([one_excitation_energies(p)[label] for label in BRANCHES]) == expected
+            assert bits([sweep.branch(label)[i] for label in BRANCHES]) == expected
+
+    def test_overflowing_atom_frequency_rejected(self):
+        with pytest.raises(ValueError, match="omega_a must be finite"):
+            sweep_spectrum(SystemParams(1e308, 1e308, 1.0, 0.0), [0.0, 1e308])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
