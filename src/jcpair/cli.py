@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -26,28 +28,94 @@ from .susceptibility import (
 __all__ = ["main", "build_parser"]
 
 
-def _rows(columns: list):
-    """Rows of Python values from equal-length columns (arrays or lists)."""
-    return zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+def _cells(columns: list) -> tuple:
+    """The cells of equal-length columns (arrays or lists), row by row, in one tuple."""
+    lists = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    return tuple(chain.from_iterable(zip(*lists)))
+
+
+def _literal(text: str) -> str:
+    """``text`` as a part of a %-template that formats to itself."""
+    return text.replace("%", "%%")
+
+
+# Each data writer builds one %-template for the whole text, with one field
+# per cell, and formats it in a single operation: no per-row object is built
+# and the text is not copied again after formatting.
 
 
 def _csv_text(header: list[str], columns: list) -> str:
-    # str of a Python float is its shortest round-trip repr.
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in _rows(columns))
-    return "\n".join(lines) + "\n"
+    # %s of a Python float is its shortest round-trip repr.
+    row = ",".join(["%s"] * len(header)) + "\n"
+    return (_literal(",".join(header)) + "\n" + row * len(columns[0])) % _cells(columns)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_text(payload: dict, header: list[str] | None = None) -> str:
+    """``json.dumps(payload, indent=2)`` plus a newline.
+
+    With ``header`` (distinct names), ``payload["data"]`` holds nonempty
+    equal-length columns and is written as the row objects
+    ``dict(zip(header, row))`` would be: keys through ``json.dumps``, values
+    through ``%r``, the ``float.__repr__`` that the encoder uses.  The values
+    must be finite numbers.
+    """
+    if header is None:
+        return json.dumps(payload, indent=2) + "\n"
+    fields = ",\n".join(f"      {_literal(json.dumps(name))}: %r" for name in header)
+    row = "    {\n" + fields + "\n    }"
+    members = []
+    for key, value in payload.items():
+        if key == "data":
+            text = "[\n" + row + (",\n" + row) * (len(value[0]) - 1) + "\n  ]"
+        else:
+            text = _literal(json.dumps(value, indent=2).replace("\n", "\n  "))
+        members.append(f"  {_literal(json.dumps(key))}: {text}")
+    return ("{\n" + ",\n".join(members) + "\n}\n") % _cells(payload["data"])
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _discard(path: str) -> None:
+    # Best effort: a failed cleanup must not hide the error that caused it.
+    try:
+        os.remove(path)
+    except OSError:
+        pass
+
+
+def _write_text(path: str | None, text: str, *, commit: bool = True) -> str | None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None.
+
+    The text goes to a temp file beside ``path`` that ``os.replace`` then
+    moves over it, so ``path`` holds either its old content or all of the
+    new; on any error the temp file is deleted.  With ``commit=False`` the
+    temp file is kept and its name returned for the caller to replace.
+    """
     if path is None:
         sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        return None
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        if commit:
+            os.replace(temp, path)
+    except BaseException:
+        _discard(temp)
+        raise
+    return temp
+
+
+def _write_together(files: list[tuple[str, str]]) -> None:
+    """Write every ``(path, text)``: all temp files first, then each replace."""
+    temps: list[str] = []
+    try:
+        for path, text in files:
+            temps.append(_write_text(path, text, commit=False))
+        for temp, (path, _) in zip(temps, files):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            _discard(temp)
+        raise
 
 
 def _require_sweep(cfg: RunConfig, command: str):
@@ -85,9 +153,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _write_text(args.out, _csv_text(header, columns))
     else:
-        data = [dict(zip(header, row)) for row in _rows(columns)]
-        payload = {"config": config_dict(cfg), "data": data, "summary": summary}
-        _write_text(args.out, _json_text(payload))
+        payload = {"config": config_dict(cfg), "data": columns, "summary": summary}
+        _write_text(args.out, _json_text(payload, header))
     return 0
 
 
@@ -116,12 +183,14 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     header = ["omega_p", "re_chi", "im_chi"]
     columns = [curve.omega_p, curve.re_chi, curve.im_chi]
     if args.format == "csv":
-        _write_text(args.out, _csv_text(header, columns))
-        _write_text(args.out + ".summary.json", _json_text(summary))
+        # The data file and its summary are replaced only once both are written.
+        _write_together([
+            (args.out, _csv_text(header, columns)),
+            (args.out + ".summary.json", _json_text(summary)),
+        ])
     else:
-        data = [dict(zip(header, row)) for row in _rows(columns)]
-        payload = {"config": config_dict(cfg), "data": data, "summary": summary}
-        _write_text(args.out, _json_text(payload))
+        payload = {"config": config_dict(cfg), "data": columns, "summary": summary}
+        _write_text(args.out, _json_text(payload, header))
     return 0
 
 

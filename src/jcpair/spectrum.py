@@ -133,8 +133,12 @@ class SpectrumSweep:
 
 
 def _ascending_grid(name: str, values: Iterable[float]) -> np.ndarray:
-    """``values`` as a float array, checked to be nonempty, 1-d and strictly ascending."""
-    grid = np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
+    """A new float array of ``values``, checked to be nonempty, 1-d and strictly ascending.
+
+    It is always a copy, so the caller's array stays writable when the sweep
+    freezes the grid it keeps.
+    """
+    grid = np.array(list(values) if not isinstance(values, np.ndarray) else values, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError(f"{name} grid must be a nonempty 1-d sequence")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):

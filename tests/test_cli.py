@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import jcpair.cli
 import jcpair.spectrum
-from jcpair.cli import main
+from jcpair.cli import _csv_text, _json_text, _write_text, main
 
 
 def write(path, text):
@@ -403,3 +408,103 @@ class TestPinnedOutputBytes:
         assert self.output_hashes(tmp_path, argv) == {
             "out": "40e915c6c822cbe43359c5ec72f67f080293499df5725185eff78bc8d183e77f",
         }
+
+
+def reference_rows(columns):
+    return zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+
+
+def reference_csv_text(header, columns):
+    """The per-row CSV writer the row template replaced."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in reference_rows(columns))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_text(payload, header):
+    """The per-row-dict JSON writer the row template replaced."""
+    data = [dict(zip(header, row)) for row in reference_rows(payload["data"])]
+    return json.dumps({**payload, "data": data}, indent=2) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+finite_floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def float_table(draw):
+    """Distinct column names and nonempty equal-length float columns."""
+    width = draw(st.integers(1, 5))
+    length = draw(st.integers(2, 6))
+    header = draw(st.lists(st.text(max_size=6), min_size=width, max_size=width, unique=True))
+    cells = st.lists(finite_floats, min_size=length, max_size=length)
+    return header, [np.array(draw(cells)) for _ in range(width)]
+
+
+# The two-row minimum grid, every edge float, and names that need escaping.
+EDGE_TABLE = (
+    ["delta", "re_%s", 'q"\u00e9'],
+    [np.array(EDGE_FLOATS[:2]), np.array(EDGE_FLOATS[2:4]), np.array([EDGE_FLOATS[4], -EDGE_FLOATS[4]])],
+)
+
+
+class TestRowTemplateWriters:
+    """The row-template writers give the bytes of the per-row writers."""
+
+    @given(table=float_table())
+    @example(table=EDGE_TABLE)
+    def test_csv_matches_per_row_writer(self, table):
+        header, columns = table
+        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+
+    @given(table=float_table(), config=json_values, summary=json_values)
+    @example(table=EDGE_TABLE, config={"g": 1.0}, summary={"peaks": [], "metric": None})
+    def test_json_matches_per_row_writer(self, table, config, summary):
+        header, columns = table
+        payload = {"config": config, "data": columns, "summary": summary}
+        assert _json_text(payload, header) == reference_json_text(payload, header)
+
+
+class TestAtomicWrites:
+    """An output file holds its old bytes or all of the new ones."""
+
+    def test_failing_write_leaves_no_file(self, tmp_path):
+        target = tmp_path / "out.csv"
+        with pytest.raises(UnicodeEncodeError):
+            _write_text(str(target), "delta\n\ud800\n")  # a lone surrogate has no UTF-8 form
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_summary_write_keeps_both_old_files(self, tmp_path, monkeypatch, capsys):
+        cfg = write(tmp_path / "run.cfg", ABSORPTION_CFG)
+        # A second run on a shorter grid, whose data file would differ.
+        other = write(tmp_path / "other.cfg", ABSORPTION_CFG.replace("2001", "101"))
+        out = tmp_path / "abs.csv"
+        assert main(["absorption", "--config", cfg, "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        monkeypatch.setattr(jcpair.cli, "_json_text", lambda payload: "\ud800")
+        assert main(["absorption", "--config", other, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_existing_output_replaced_whole(self, tmp_path):
+        cfg = write(tmp_path / "run.cfg", "g = 1\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 5\n")
+        out = tmp_path / "out.csv"
+        fresh = tmp_path / "fresh.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(fresh)]) == 0
+        old_bytes = b"stale,row\n" * 10_000
+        out.write_bytes(old_bytes)
+        previous_mask = os.umask(0o022)
+        try:
+            with open(out, "rb") as reader:  # a reader that opened the old file keeps it
+                assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+                assert reader.read() == old_bytes
+        finally:
+            os.umask(previous_mask)
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_mode & 0o777 == 0o644
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh.csv", "out.csv", "run.cfg"]

@@ -214,6 +214,13 @@ class TestSweep:
         with pytest.raises(ValueError, match="omega_a must be finite"):
             sweep_spectrum(SystemParams(1e308, 1e308, 1.0, 0.0), [0.0, 1e308])
 
+    def test_caller_grid_stays_writable(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        sweep = sweep_spectrum(params(), grid)
+        grid[0] = -2.0
+        assert sweep.deltas[0] == -1.0
+        assert not sweep.deltas.flags.writeable
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             sweep_spectrum(params(), [])

@@ -192,6 +192,13 @@ class TestSusceptibilityCurve:
             curve = susceptibility_curve(p, d, np.linspace(-20, 20, 201))
             assert np.all(curve.im_chi >= 0.0)
 
+    def test_caller_grid_stays_writable(self):
+        grid = np.linspace(-1.0, 1.0, 5)
+        curve = susceptibility_curve(params(), self.fig3_damping(), grid)
+        grid[0] = -2.0
+        assert curve.omega_p[0] == -1.0
+        assert not curve.omega_p.flags.writeable
+
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             susceptibility_curve(params(), self.fig3_damping(), [1.0, 0.0])
