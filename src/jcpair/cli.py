@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -81,41 +83,68 @@ def _discard(path: str) -> None:
         pass
 
 
-def _write_text(path: str | None, text: str, *, commit: bool = True) -> str | None:
+@contextmanager
+def _replacing():
+    """Yield a list for ``_write_text(..., staged=)``; at the end of the
+    block move each staged temp file over its target, or on any error
+    delete every temp file not yet moved."""
+    staged: list[tuple[str, str]] = []
+    try:
+        yield staged
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for temp, _ in staged:
+            _discard(temp)
+
+
+def _stage(path: str, text: str, staged: list[tuple[str, str]]) -> None:
+    """Write ``text`` to a new temp file beside the file ``path`` names and
+    add ``(temp, target)`` to ``staged``.
+
+    A symlink's target is replaced, not the link.  Where a rename would not
+    do what writing ``path`` does, ``path`` is written in place instead: a
+    device, FIFO or other non-regular file, a file with more than one hard
+    link, or a file whose temp file cannot be created (a read-only
+    directory, or that name already taken).
+    """
+    target = os.path.realpath(path)
+    try:
+        info = os.stat(target)
+    except FileNotFoundError:
+        info = None
+    if info is None or (stat.S_ISREG(info.st_mode) and info.st_nlink == 1):
+        temp = f"{target}.{os.getpid()}.tmp"
+        try:
+            handle = open(temp, "x", encoding="utf-8", newline="\n")
+        except (PermissionError, FileExistsError):
+            pass
+        else:
+            staged.append((temp, target))
+            with handle:
+                if info is not None:
+                    os.chmod(temp, stat.S_IMODE(info.st_mode))
+                handle.write(text)
+            return
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _write_text(path: str | None, text: str, *, staged: list | None = None) -> None:
     """Write ``text`` to ``path``, or to stdout when ``path`` is None.
 
-    The text goes to a temp file beside ``path`` that ``os.replace`` then
-    moves over it, so ``path`` holds either its old content or all of the
-    new; on any error the temp file is deleted.  With ``commit=False`` the
-    temp file is kept and its name returned for the caller to replace.
+    ``path`` holds either its old content or all of the new (see
+    ``_stage``).  With ``staged`` from ``_replacing``, the file is replaced
+    only at the end of that block, together with the others staged there.
     """
     if path is None:
         sys.stdout.write(text)
-        return None
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temp, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        if commit:
-            os.replace(temp, path)
-    except BaseException:
-        _discard(temp)
-        raise
-    return temp
-
-
-def _write_together(files: list[tuple[str, str]]) -> None:
-    """Write every ``(path, text)``: all temp files first, then each replace."""
-    temps: list[str] = []
-    try:
-        for path, text in files:
-            temps.append(_write_text(path, text, commit=False))
-        for temp, (path, _) in zip(temps, files):
-            os.replace(temp, path)
-    except BaseException:
-        for temp in temps:
-            _discard(temp)
-        raise
+    elif staged is not None:
+        _stage(path, text, staged)
+    else:
+        with _replacing() as staged:
+            _stage(path, text, staged)
 
 
 def _require_sweep(cfg: RunConfig, command: str):
@@ -184,10 +213,13 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     columns = [curve.omega_p, curve.re_chi, curve.im_chi]
     if args.format == "csv":
         # The data file and its summary are replaced only once both are written.
-        _write_together([
+        files = [
             (args.out, _csv_text(header, columns)),
             (args.out + ".summary.json", _json_text(summary)),
-        ])
+        ]
+        with _replacing() as staged:
+            for path, text in files:
+                _write_text(path, text, staged=staged)
     else:
         payload = {"config": config_dict(cfg), "data": columns, "summary": summary}
         _write_text(args.out, _json_text(payload, header))

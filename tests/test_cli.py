@@ -1,7 +1,10 @@
+import builtins
 import hashlib
 import json
 import math
 import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -498,13 +501,82 @@ class TestAtomicWrites:
         assert main(["spectrum", "--config", cfg, "--out", str(fresh)]) == 0
         old_bytes = b"stale,row\n" * 10_000
         out.write_bytes(old_bytes)
-        previous_mask = os.umask(0o022)
+        with open(out, "rb") as reader:  # a reader that opened the old file keeps it
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            assert reader.read() == old_bytes
+        assert out.read_bytes() == fresh.read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh.csv", "out.csv", "run.cfg"]
+
+    SPECTRUM_CFG = "g = 1\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 5\n"
+
+    def spectrum_bytes(self, tmp_path, out):
+        """Run ``spectrum`` into ``out``; return what a fresh file gets."""
+        cfg = write(tmp_path / "run.cfg", self.SPECTRUM_CFG)
+        fresh = tmp_path / "fresh.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(fresh)]) == 0
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        return fresh.read_bytes()
+
+    def test_symlink_target_replaced_link_kept(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_bytes(b"stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        expected = self.spectrum_bytes(tmp_path, link)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == expected
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        expected = self.spectrum_bytes(tmp_path, fifo)
+        reader.join(timeout=10)
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    def test_hard_links_share_the_new_bytes(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"stale\n")
+        other = tmp_path / "other.csv"
+        os.link(out, other)
+        expected = self.spectrum_bytes(tmp_path, out)
+        assert other.read_bytes() == out.read_bytes() == expected
+        assert os.path.samefile(out, other)
+
+    def test_existing_mode_kept_new_mode_from_umask(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"stale\n")
+        out.chmod(0o600)
+        previous_mask = os.umask(0o027)
         try:
-            with open(out, "rb") as reader:  # a reader that opened the old file keeps it
-                assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-                assert reader.read() == old_bytes
+            self.spectrum_bytes(tmp_path, out)
         finally:
             os.umask(previous_mask)
-        assert out.read_bytes() == fresh.read_bytes()
-        assert out.stat().st_mode & 0o777 == 0o644
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh.csv", "out.csv", "run.cfg"]
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert (tmp_path / "fresh.csv").stat().st_mode & 0o777 == 0o640
+
+    def test_existing_file_with_temp_name_untouched(self, tmp_path):
+        out = tmp_path / "out.csv"
+        bystander = tmp_path / f"out.csv.{os.getpid()}.tmp"
+        bystander.write_bytes(b"not ours\n")
+        expected = self.spectrum_bytes(tmp_path, out)
+        assert out.read_bytes() == expected
+        assert bystander.read_bytes() == b"not ours\n"
+
+    def test_no_temp_allowed_writes_in_place(self, tmp_path, monkeypatch):
+        # As where the directory is read-only but the output file is writable.
+        def open_without_create(file, mode="r", *args, **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"stale\n")
+        monkeypatch.setattr(jcpair.cli, "open", open_without_create, raising=False)
+        expected = self.spectrum_bytes(tmp_path, out)
+        assert out.read_bytes() == expected
+        assert not list(tmp_path.glob("*.tmp"))
