@@ -30,26 +30,37 @@ from .susceptibility import (
 __all__ = ["main", "build_parser"]
 
 
-def _cells(columns: list) -> tuple:
-    """The cells of equal-length columns (arrays or lists), row by row, in one tuple."""
-    lists = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    return tuple(chain.from_iterable(zip(*lists)))
-
-
 def _literal(text: str) -> str:
     """``text`` as a part of a %-template that formats to itself."""
     return text.replace("%", "%%")
 
 
-# Each data writer builds one %-template for the whole text, with one field
-# per cell, and formats it in a single operation: no per-row object is built
-# and the text is not copied again after formatting.
+# Rows are formatted with one %-template per block of _BLOCK_ROWS rows, and
+# the text is joined once from the blocks: no per-row object is built, and no
+# whole-text template, flattened cell tuple or growing buffer is allocated.
+# Freed and reused by the heap, those made a process's peak memory differ by
+# tens of MB from one run of the same commands to the next.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(row: str, sep: str, columns: list) -> list[str]:
+    """The rows of equal-length columns (arrays or lists), each formatted
+    with the %-template ``row`` and followed by ``sep`` except the last."""
+    template = row + sep
+    blocks = []
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        parts = [col[start : start + _BLOCK_ROWS] for col in columns]
+        lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+        blocks.append(template * len(lists[0]) % tuple(chain.from_iterable(zip(*lists))))
+    if blocks:
+        blocks[-1] = blocks[-1][: len(blocks[-1]) - len(sep)]
+    return blocks
 
 
 def _csv_text(header: list[str], columns: list) -> str:
     # %s of a Python float is its shortest round-trip repr.
     row = ",".join(["%s"] * len(header)) + "\n"
-    return (_literal(",".join(header)) + "\n" + row * len(columns[0])) % _cells(columns)
+    return "".join([",".join(header) + "\n", *_row_blocks(row, "", columns)])
 
 
 def _json_text(payload: dict, header: list[str] | None = None) -> str:
@@ -65,14 +76,15 @@ def _json_text(payload: dict, header: list[str] | None = None) -> str:
         return json.dumps(payload, indent=2) + "\n"
     fields = ",\n".join(f"      {_literal(json.dumps(name))}: %r" for name in header)
     row = "    {\n" + fields + "\n    }"
-    members = []
-    for key, value in payload.items():
+    parts = ["{"]
+    for i, (key, value) in enumerate(payload.items()):
+        parts.append(("," if i else "") + f"\n  {json.dumps(key)}: ")
         if key == "data":
-            text = "[\n" + row + (",\n" + row) * (len(value[0]) - 1) + "\n  ]"
+            parts += ["[\n", *_row_blocks(row, ",\n", value), "\n  ]"]
         else:
-            text = _literal(json.dumps(value, indent=2).replace("\n", "\n  "))
-        members.append(f"  {_literal(json.dumps(key))}: {text}")
-    return ("{\n" + ",\n".join(members) + "\n}\n") % _cells(payload["data"])
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _discard(path: str) -> None:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import jcpair.cli
 import jcpair.spectrum
-from jcpair.cli import _csv_text, _json_text, _write_text, main
+from jcpair.cli import _BLOCK_ROWS, _csv_text, _json_text, _write_text, main
 
 
 def write(path, text):
@@ -470,6 +470,15 @@ class TestRowTemplateWriters:
     def test_json_matches_per_row_writer(self, table, config, summary):
         header, columns = table
         payload = {"config": config, "data": columns, "summary": summary}
+        assert _json_text(payload, header) == reference_json_text(payload, header)
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    def test_rows_across_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        header = ["x", "y", "z"]
+        columns = [rng.normal(size=rows), rng.uniform(-1e300, 1e300, size=rows), np.arange(rows) * 0.1]
+        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        payload = {"config": {"n": rows}, "data": columns, "summary": None}
         assert _json_text(payload, header) == reference_json_text(payload, header)
 
 
