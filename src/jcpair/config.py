@@ -16,7 +16,21 @@ from dataclasses import dataclass
 
 from .model import DampingParams, SystemParams
 
-__all__ = ["ConfigError", "SweepSpec", "RunConfig", "parse_config", "load_config", "dump_config", "config_dict"]
+__all__ = [
+    "MAX_SWEEP_COUNT",
+    "ConfigError",
+    "SweepSpec",
+    "RunConfig",
+    "parse_config",
+    "load_config",
+    "dump_config",
+    "config_dict",
+]
+
+# Largest accepted sweep_count: 50 times the 200,001-point benchmark sweeps.
+# A spectrum CSV at the cap is about 1 GB; a larger grid is refused before
+# anything is allocated.
+MAX_SWEEP_COUNT = 10_000_000
 
 _PARAM_KEYS = ("omega_c", "omega_a", "g", "kappa")
 _DAMPING_KEYS = ("gamma", "gamma_c", "gamma1", "gamma2", "gammac1", "gammac2", "gamma_a")
@@ -46,6 +60,10 @@ class SweepSpec:
             )
         if self.count < 2:
             raise ConfigError(f"sweep_count must be >= 2, got {self.count}")
+        if self.count > MAX_SWEEP_COUNT:
+            raise ConfigError(
+                f"sweep_count must be <= {MAX_SWEEP_COUNT}, got {self.count}"
+            )
         if not self.start < self.stop:
             raise ConfigError(
                 f"sweep_start must be < sweep_stop, got {self.start} >= {self.stop}"

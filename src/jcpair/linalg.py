@@ -2,8 +2,9 @@
 
 This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
-of delegating to an external LAPACK-backed routine.  numpy is used purely
-as an array container; the rotation sweeps run in ``_jacobi_py``.
+of delegating to an external LAPACK-backed routine.  The rotation sweeps
+run in ``_jacobi_py``: one matrix on Python lists, a ``(B, n, n)`` stack as
+NumPy operations over its members, with the same bits per member.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
@@ -79,23 +80,36 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (ascending) and matching orthonormal eigenvector columns.
+
+    For a stack, ``values`` is (B, n), ``vectors`` is (B, n, n) and
+    ``sweeps`` is a (B,) int array; for one matrix ``sweeps`` is an int.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    sweeps: int | np.ndarray
 
 
-def eig_sym(a: SymMatrix) -> EigenSystem:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
+    """Full eigendecomposition of a symmetric matrix, or a stack, by cyclic Jacobi.
+
+    A :class:`SymMatrix` or 2-D input is one matrix.  A 3-D ``(B, n, n)``
+    array is a stack: it is symmetrized and checked like a ``SymMatrix``,
+    member by member, and solved by one batched sweep whose results equal
+    those of solving each member alone.
 
     The returned decomposition is verified before it is handed back:
     ``||V^T V - I||_max <= 1e-12`` and
-    ``||A v_k - w_k v_k||_max <= 1e-10 * (1 + ||A||_max)`` for every k.
-    A violation (possible only for pathological input) raises
-    :class:`ConvergenceError` rather than returning a bad oracle.
+    ``||A v_k - w_k v_k||_max <= 1e-10 * (1 + ||A||_max)`` for every k (and
+    every member).  A violation (possible only for pathological input)
+    raises :class:`ConvergenceError` rather than returning a bad oracle.
     """
     if not isinstance(a, SymMatrix):
-        a = SymMatrix(a)
+        m = np.asarray(a, dtype=float)
+        if m.ndim == 3:
+            return _eig_stack(m)
+        a = SymMatrix(m)
     n = a.n
     work = a.to_array()
     vecs = np.eye(n)
@@ -116,7 +130,44 @@ def eig_sym(a: SymMatrix) -> EigenSystem:
         )
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return EigenSystem(values=vals, vectors=vecs)
+    return EigenSystem(values=vals, vectors=vecs, sweeps=sweeps)
+
+
+def _eig_stack(m: np.ndarray) -> EigenSystem:
+    """``eig_sym`` over a (B, n, n) stack, through ``jacobi_stack``."""
+    if m.shape[0] < 1 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
+    n = m.shape[1]
+    sym = 0.5 * (m + m.transpose(0, 2, 1))
+    work = sym.copy()
+    vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
+    sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
+    if np.any(sweeps < 0):
+        member = int(np.flatnonzero(sweeps < 0)[0])
+        raise ConvergenceError(
+            f"no convergence within {MAX_SWEEPS} sweeps (member {member}, n={n})"
+        )
+
+    vals = np.diagonal(work, axis1=1, axis2=2)
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, np.newaxis, :], axis=2)
+
+    ortho = np.max(np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(n)), axis=(1, 2))
+    resid = np.max(np.abs(sym @ vecs - vecs * vals[:, np.newaxis, :]), axis=(1, 2))
+    scale = 1.0 + np.max(np.abs(sym), axis=(1, 2))
+    bad = np.flatnonzero((ortho > 1e-12) | (resid > 1e-10 * scale))
+    if bad.size:
+        member = int(bad[0])
+        raise ConvergenceError(
+            f"decomposition check failed for member {member}: orthogonality "
+            f"{ortho[member]:.3e}, residual {resid[member]:.3e}"
+        )
+    for array in (vals, vecs, sweeps):
+        array.setflags(write=False)
+    return EigenSystem(values=vals, vectors=vecs, sweeps=sweeps)
 
 
 def eigenvalue_multiset_equal(

@@ -73,15 +73,20 @@ def _draw_params(rng: random.Random, g_min: float = 0.1) -> SystemParams:
     return SystemParams(omega_c=omega_c, omega_a=omega_c + delta, g=g, kappa=kappa)
 
 
+def _stack(blocks) -> np.ndarray:
+    """The (B, n, n) stack of sector blocks, for one batched ``eig_sym``."""
+    return np.stack([block.matrix.to_array() for block in blocks])
+
+
 def _suite_closed_form_vs_oracle(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("closed_form_vs_oracle")
     rng = _rng(seed, "closed_form")
     basis = sectors.enumerate_sector(1)
-    for _ in range(trials):
-        p = _draw_params(rng)
+    draws = [_draw_params(rng) for _ in range(trials)]
+    numeric = eig_sym(_stack(sectors.build_hamiltonian(p, basis) for p in draws)).values
+    for p, values in zip(draws, numeric):
         closed = np.sort(list(spectrum.one_excitation_energies(p).values()))
-        numeric = eig_sym(sectors.build_hamiltonian(p, basis).matrix).values
-        checks.add(float(np.max(np.abs(closed - numeric))), 1e-10)
+        checks.add(float(np.max(np.abs(closed - values))), 1e-10)
     return checks.result()
 
 
@@ -143,11 +148,13 @@ def _suite_collective_modes(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("collective_modes")
     rng = _rng(seed, "collective")
     basis = sectors.enumerate_sector(1)
-    for _ in range(max(1, trials // 10)):
-        p = _draw_params(rng, g_min=0.0)
-        direct = eig_sym(sectors.build_hamiltonian(p, basis).matrix).values
-        collective = eig_sym(sectors.build_collective_hamiltonian(p, 1).matrix).values
-        checks.add(float(np.max(np.abs(direct - collective))), 1e-10)
+    draws = [_draw_params(rng, g_min=0.0) for _ in range(max(1, trials // 10))]
+    direct = eig_sym(_stack(sectors.build_hamiltonian(p, basis) for p in draws)).values
+    collective = eig_sym(
+        _stack(sectors.build_collective_hamiltonian(p, 1) for p in draws)
+    ).values
+    for direct_values, collective_values in zip(direct, collective):
+        checks.add(float(np.max(np.abs(direct_values - collective_values))), 1e-10)
     p = SystemParams(omega_c=10.0, omega_a=10.0, g=0.0, kappa=2.0)
     values = eig_sym(sectors.build_collective_hamiltonian(p, 1).matrix).values
     checks.add(float(np.max(np.abs(values - np.array([8.0, 10.0, 10.0, 12.0])))), 0.0)

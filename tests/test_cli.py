@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import jcpair.cli
+import jcpair.config
 import jcpair.spectrum
 from jcpair.cli import _BLOCK_ROWS, _csv_text, _json_text, _write_text, main
 
@@ -278,9 +279,20 @@ class TestNonFiniteAndOversized:
         assert code == 2
         assert err.count("\n") == 1 and "sweep_start must be finite" in err
 
-    def test_sweep_count_too_large_to_allocate(self, tmp_path, capsys):
+    def test_sweep_count_above_cap(self, tmp_path, capsys):
+        # 5e8 points would allocate gigabytes before failing; the cap
+        # refuses them while parsing.
+        code, err = self.run(
+            tmp_path, capsys, "spectrum", "sweep_start = 0\nsweep_stop = 1\nsweep_count = 5e8\n"
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "sweep_count must be <=" in err
+
+    def test_sweep_count_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
         # 1e17 points ask for 711 PiB, which no allocator grants, so the
-        # request fails at once without touching memory.
+        # request fails at once without touching memory.  The cap would
+        # refuse such a count first; lifting it reaches the allocator.
+        monkeypatch.setattr(jcpair.config, "MAX_SWEEP_COUNT", 10**18)
         code, err = self.run(
             tmp_path, capsys, "spectrum", "sweep_start = 0\nsweep_stop = 1\nsweep_count = 1e17\n"
         )
@@ -411,6 +423,21 @@ class TestPinnedOutputBytes:
         assert self.output_hashes(tmp_path, argv) == {
             "out": "40e915c6c822cbe43359c5ec72f67f080293499df5725185eff78bc8d183e77f",
         }
+
+    # Recorded while validate solved one matrix per eig_sym call; trials = 1
+    # and 7 give stacks of one member and of odd sizes in the batched suites.
+    @pytest.mark.parametrize(
+        "seed, trials, digest",
+        [
+            (2, 1000, "21f2e4ffaffea466396290dfbb0e1a2640c3bb79f5729da1a1faa821fc06ad5e"),
+            (3, 1000, "04286ed2972a081d8aae6130bf4da6f687ce0d8f13639c08a8dce0bf5ac724c0"),
+            (5, 1, "afdf3ebffc5704e49ef5b9bfc378ed2f1589a201c12e1c8baae314782489fc03"),
+            (5, 7, "2f3f8336e2a3a8e2f5ff4eb239f2bffb91f1b28c474c18e538cc41bcc0684b8b"),
+        ],
+    )
+    def test_validate_text_other_runs(self, tmp_path, seed, trials, digest):
+        argv = ["validate", "--seed", str(seed), "--trials", str(trials)]
+        assert self.output_hashes(tmp_path, argv) == {"out": digest}
 
 
 def reference_rows(columns):

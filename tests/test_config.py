@@ -1,6 +1,7 @@
 import pytest
 
 from jcpair.config import (
+    MAX_SWEEP_COUNT,
     ConfigError,
     RunConfig,
     SweepSpec,
@@ -82,12 +83,17 @@ class TestErrors:
             ("sweep_start = 0\nsweep_stop = inf\nsweep_count = 5\n", "sweep_stop must be finite"),
             ("sweep_start = nan\nsweep_stop = 1\nsweep_count = 5\n", "sweep_start must be finite"),
             ("sweep_start = -1e308\nsweep_stop = 1e308\nsweep_count = 3\n", "overflows"),
+            ("sweep_start = 0\nsweep_stop = 1\nsweep_count = 5e8\n", "sweep_count must be <= 10000000"),
             ("just some words\n", "key = value"),
         ],
     )
     def test_rejections_name_the_offender(self, text, needle):
         with pytest.raises(ConfigError, match=needle):
             parse_config(text)
+
+    def test_sweep_count_at_cap_accepted(self):
+        cfg = parse_config(f"sweep_start = 0\nsweep_stop = 1\nsweep_count = {MAX_SWEEP_COUNT}\n")
+        assert cfg.sweep.count == MAX_SWEEP_COUNT
 
 
 class TestRoundTrip:

@@ -4,6 +4,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jcpair import linalg
 from jcpair.linalg import SymMatrix, eig_sym, eigenvalue_multiset_equal
@@ -122,6 +125,17 @@ class TestEigSym:
             assert np.max(np.abs(eig_sym(rotated).values - eig_sym(a).values)) <= 1e-9
 
 
+PINNED = [
+    (1, 0, "8b652168da78d520b22ceea909a4a7ae012c176388f1c78f703e50b09e41168d"),
+    (2, 1, "62eaa07ee8493e864c06c3e8821ba638ea037d7594af0ae168c267a96ab16706"),
+    (4, 4, "3194ca45cbdcc7fc1e0d783b320b9602ddf4cc6102abdfd81c6fbcffd44a93c2"),
+    (7, 5, "b4470bbb7e5dbb3eace0395caa48e2922a9f4499991225f7418f81f1b3159bd1"),
+    (12, 6, "3fe38d955059cfdc9bcd2f13efa98dfcf3fdca71a64bfdd7b98503d55a25d633"),
+    (16, 7, "a232f1d86381cdcc9cfc343c5462344c91ec18daa4d134c2bcb822acf1b180a3"),
+    (48, 8, "d4fa4edc3163e24638a93bf6719cbdb3d6a5e4a91b9d60f77a0654786b706d79"),
+]
+
+
 class TestPinnedBits:
     """Bit-level regression gate for the Jacobi kernel.
 
@@ -130,18 +144,7 @@ class TestPinnedBits:
     reproduce them bit for bit.
     """
 
-    @pytest.mark.parametrize(
-        "n,sweeps,digest",
-        [
-            (1, 0, "8b652168da78d520b22ceea909a4a7ae012c176388f1c78f703e50b09e41168d"),
-            (2, 1, "62eaa07ee8493e864c06c3e8821ba638ea037d7594af0ae168c267a96ab16706"),
-            (4, 4, "3194ca45cbdcc7fc1e0d783b320b9602ddf4cc6102abdfd81c6fbcffd44a93c2"),
-            (7, 5, "b4470bbb7e5dbb3eace0395caa48e2922a9f4499991225f7418f81f1b3159bd1"),
-            (12, 6, "3fe38d955059cfdc9bcd2f13efa98dfcf3fdca71a64bfdd7b98503d55a25d633"),
-            (16, 7, "a232f1d86381cdcc9cfc343c5462344c91ec18daa4d134c2bcb822acf1b180a3"),
-            (48, 8, "d4fa4edc3163e24638a93bf6719cbdb3d6a5e4a91b9d60f77a0654786b706d79"),
-        ],
-    )
+    @pytest.mark.parametrize("n,sweeps,digest", PINNED)
     def test_sweeps_and_output_bits(self, n, sweeps, digest):
         a = random_symmetric(random.Random(1000 + n), n)
         work, vecs = a.to_array(), np.eye(n)
@@ -149,6 +152,111 @@ class TestPinnedBits:
         system = eig_sym(a)
         bits = system.values.tobytes() + system.vectors.tobytes()
         assert hashlib.sha256(bits).hexdigest() == digest
+
+
+class TestPinnedBitsStacked:
+    """``TestPinnedBits`` through the stacked kernel.
+
+    Each pinned matrix shares its stack with an already-diagonal and a zero
+    matrix, which converge at sweep 0 and leave the stack first.
+    """
+
+    @pytest.mark.parametrize("n,sweeps,digest", PINNED)
+    def test_sweeps_and_output_bits(self, n, sweeps, digest):
+        a = random_symmetric(random.Random(1000 + n), n)
+        stack = np.stack([a.to_array(), np.diag(np.arange(n, 0, -1.0)), np.zeros((n, n))])
+        system = eig_sym(stack)
+        assert system.values.shape == (3, n) and system.vectors.shape == (3, n, n)
+        assert system.sweeps.tolist() == [sweeps, 0, 0]
+        bits = system.values[0].tobytes() + system.vectors[0].tobytes()
+        assert hashlib.sha256(bits).hexdigest() == digest
+
+
+# Entries include exact zeros of both signs, so members have zero pivots
+# that a rotation must skip rather than apply with t = 0.
+stack_entries = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def symmetric_stacks(draw):
+    count, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    m = draw(arrays(np.float64, (count, n, n), elements=stack_entries))
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+class TestStackedKernel:
+    @given(symmetric_stacks())
+    def test_each_member_matches_jacobi_cycle(self, stack):
+        count, n = stack.shape[:2]
+        work, vecs = stack.copy(), np.broadcast_to(np.eye(n), stack.shape).copy()
+        sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        for i in range(count):
+            alone, alone_vecs = stack[i].copy(), np.eye(n)
+            assert sweeps[i] == linalg._kernel.jacobi_cycle(
+                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
+            )
+            assert work[i].tobytes() == alone.tobytes()
+            assert vecs[i].tobytes() == alone_vecs.tobytes()
+
+    def test_sweep_cap_marks_only_unconverged_members(self):
+        a = random_symmetric(random.Random(1004), 4).to_array()
+        stack = np.stack([a, np.eye(4)])
+        vecs = np.broadcast_to(np.eye(4), stack.shape).copy()
+        sweeps = linalg._kernel.jacobi_stack(stack, vecs, linalg.REL_TOL, 2)
+        assert sweeps.tolist() == [-1, 0]
+
+    def test_stack_is_symmetrized(self):
+        stack = np.array([[[1.0, 2.0], [4.0, 3.0]], [[0.0, 1.0], [1.0, 0.0]]])
+        system = eig_sym(stack)
+        assert system.values[0].tobytes() == eig_sym(SymMatrix(stack[0])).values.tobytes()
+
+    def test_outputs_are_read_only(self):
+        system = eig_sym(np.stack([np.eye(3), np.ones((3, 3))]))
+        for array in (system.values, system.vectors, system.sweeps):
+            assert not array.flags.writeable
+
+    def test_unconverged_member_named(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        stack = np.stack([np.eye(4), random_symmetric(random.Random(1004), 4).to_array()])
+        with pytest.raises(linalg.ConvergenceError, match="member 1"):
+            eig_sym(stack)
+
+    def test_failed_check_names_member(self, monkeypatch):
+        # A kernel that rotates nothing leaves member 1 undiagonalized.
+        monkeypatch.setattr(
+            linalg._kernel, "jacobi_stack", lambda a, v, tol, cap: np.zeros(len(a), dtype=np.int64)
+        )
+        stack = np.stack([np.eye(3), np.ones((3, 3)), np.eye(3)])
+        with pytest.raises(linalg.ConvergenceError, match="member 1: orthogonality"):
+            eig_sym(stack)
+
+    @pytest.mark.parametrize(
+        "stack, needle",
+        [
+            (np.array([[[1.0, math.inf], [math.inf, 1.0]]]), "finite"),
+            (np.array([[[1.0, math.nan], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]), "finite"),
+            (np.zeros((2, 3, 4)), "square"),
+            (np.zeros((2, 0, 0)), "square"),
+            (np.zeros((0, 3, 3)), "square"),
+            (np.zeros((2, 2, 3, 3)), "square"),
+        ],
+    )
+    def test_bad_stack_rejected(self, stack, needle):
+        with pytest.raises(ValueError, match=needle):
+            eig_sym(stack)
+
+
+class TestSweepsReported:
+    def test_single_matrix_reports_an_int(self):
+        assert eig_sym(SymMatrix(np.eye(4))).sweeps == 0
+        sweeps = eig_sym(random_symmetric(random.Random(1004), 4)).sweeps
+        assert isinstance(sweeps, int) and sweeps == 4
+
+    def test_stack_reports_each_member(self):
+        a = random_symmetric(random.Random(1007), 7).to_array()
+        system = eig_sym(np.stack([np.eye(7), a, a]))
+        assert system.sweeps.dtype == np.int64
+        assert system.sweeps.tolist() == [0, 5, 5]
 
 
 class TestMultisetEqual:
