@@ -182,28 +182,7 @@ def dump_config(config: RunConfig) -> str:
     Floats are written in shortest round-trip decimal form and damping is
     always emitted through the per-cell keys.
     """
-    lines = [
-        f"omega_c = {config.params.omega_c!r}",
-        f"omega_a = {config.params.omega_a!r}",
-        f"g = {config.params.g!r}",
-        f"kappa = {config.params.kappa!r}",
-    ]
-    if config.damping is not None:
-        d = config.damping
-        lines += [
-            f"gamma1 = {d.gamma1!r}",
-            f"gamma2 = {d.gamma2!r}",
-            f"gammac1 = {d.gammac1!r}",
-            f"gammac2 = {d.gammac2!r}",
-            f"gamma_a = {d.gamma_a!r}",
-        ]
-    if config.sweep is not None:
-        lines += [
-            f"sweep_start = {config.sweep.start!r}",
-            f"sweep_stop = {config.sweep.stop!r}",
-            f"sweep_count = {config.sweep.count}",
-        ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value!r}\n" for key, value in config_dict(config).items())
 
 
 def config_dict(config: RunConfig) -> dict:

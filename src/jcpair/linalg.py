@@ -2,9 +2,13 @@
 
 This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
-of delegating to an external LAPACK-backed routine.  The rotation sweeps
-run in ``_jacobi_py``: one matrix on Python lists, a ``(B, n, n)`` stack as
-NumPy operations over its members, with the same bits per member.
+of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
+every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
+``_jacobi_py`` fork: one matrix runs ``jacobi_cycle`` on Python lists, a
+stack of two or more runs ``jacobi_stack``, the same bits as NumPy calls
+over all members.  Those calls cost a fixed time each, so on a 2-vCPU Xeon
+VM a 48x48 takes 0.5 s as a stack against 0.2 s as lists, while 1,000 4x4s
+take 10 ms as one stack against 150-190 ms one by one.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
@@ -41,23 +45,32 @@ class ConvergenceError(RuntimeError):
     """Jacobi iteration failed to meet its convergence contract."""
 
 
+def _symmetrized(entries, ndim: int) -> np.ndarray:
+    """``(A + A^T) / 2`` of ``ndim``-D ``entries``, square, nonempty and finite."""
+    m = np.asarray(entries, dtype=float)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or 0 in m.shape:
+        what = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"expected {what}, got shape {m.shape}")
+    # Finite entries can overflow here; the check below rejects them too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = 0.5 * (m + m.swapaxes(-1, -2))
+    if not np.isfinite(sym).all():
+        raise ValueError("matrix entries and their symmetrization must be finite")
+    return sym
+
+
 class SymMatrix:
     """Dense real symmetric matrix.
 
     Construction symmetrizes the input as ``(A + A^T) / 2``, which leaves an
     already-symmetric matrix bit-identical and otherwise enforces exact
-    symmetry.  Entries must be finite.
+    symmetry.  Entries and their symmetrization must be finite.
     """
 
     __slots__ = ("_m",)
 
     def __init__(self, entries) -> None:
-        m = np.array(entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        self._m = 0.5 * (m + m.T)
+        self._m = _symmetrized(entries, 2)
         self._m.setflags(write=False)
 
     @property
@@ -82,73 +95,48 @@ class SymMatrix:
 class EigenSystem:
     """Eigenvalues (ascending) and matching orthonormal eigenvector columns.
 
-    For a stack, ``values`` is (B, n), ``vectors`` is (B, n, n) and
-    ``sweeps`` is a (B,) int array; for one matrix ``sweeps`` is an int.
+    ``orthogonality`` (``||V^T V - I||_max``) and ``residual``
+    (``||A V - V diag(w)||_max``) are the figures ``eig_sym`` checked.  For
+    a stack, ``values`` is (B, n), ``vectors`` (B, n, n) and the other
+    fields (B,) arrays; for one matrix ``sweeps`` is an int, the rest floats.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     sweeps: int | np.ndarray
+    orthogonality: float | np.ndarray
+    residual: float | np.ndarray
 
 
 def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a symmetric matrix, or a stack, by cyclic Jacobi.
 
-    A :class:`SymMatrix` or 2-D input is one matrix.  A 3-D ``(B, n, n)``
-    array is a stack: it is symmetrized and checked like a ``SymMatrix``,
-    member by member, and solved by one batched sweep whose results equal
-    those of solving each member alone.
+    A :class:`SymMatrix` or 2-D input is one matrix; a 3-D ``(B, n, n)``
+    array is a stack, symmetrized and checked member by member, and each
+    member's results equal those of solving it alone.
 
     The returned decomposition is verified before it is handed back:
     ``||V^T V - I||_max <= 1e-12`` and
     ``||A v_k - w_k v_k||_max <= 1e-10 * (1 + ||A||_max)`` for every k (and
-    every member).  A violation (possible only for pathological input)
-    raises :class:`ConvergenceError` rather than returning a bad oracle.
+    every member).  A violation, NaN included (possible only for
+    pathological input), raises :class:`ConvergenceError` rather than
+    returning a bad oracle.
     """
-    if not isinstance(a, SymMatrix):
-        m = np.asarray(a, dtype=float)
-        if m.ndim == 3:
-            return _eig_stack(m)
-        a = SymMatrix(m)
-    n = a.n
-    work = a.to_array()
-    vecs = np.eye(n)
-    sweeps = _kernel.jacobi_cycle(work, vecs, REL_TOL, MAX_SWEEPS)
-    if sweeps < 0:
-        raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps (n={n})")
-
-    vals = np.diag(work).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(n))))
-    resid = float(np.max(np.abs(a.to_array() @ vecs - vecs * vals[np.newaxis, :])))
-    if ortho > 1e-12 or resid > 1e-10 * (1.0 + a.max_abs()):
-        raise ConvergenceError(
-            f"decomposition check failed: orthogonality {ortho:.3e}, residual {resid:.3e}"
-        )
-    vals.setflags(write=False)
-    vecs.setflags(write=False)
-    return EigenSystem(values=vals, vectors=vecs, sweeps=sweeps)
-
-
-def _eig_stack(m: np.ndarray) -> EigenSystem:
-    """``eig_sym`` over a (B, n, n) stack, through ``jacobi_stack``."""
-    if m.shape[0] < 1 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    n = m.shape[1]
-    sym = 0.5 * (m + m.transpose(0, 2, 1))
+    if not isinstance(a, SymMatrix) and np.ndim(a) != 3:
+        a = SymMatrix(a)
+    single = isinstance(a, SymMatrix)
+    sym = a._m[np.newaxis] if single else _symmetrized(a, 3)
+    count, n = sym.shape[0], sym.shape[1]
     work = sym.copy()
-    vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
-    sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
+    if count == 1:
+        vecs = np.eye(n)[np.newaxis]
+        sweeps = np.array([_kernel.jacobi_cycle(work[0], vecs[0], REL_TOL, MAX_SWEEPS)])
+    else:
+        vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
+        sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
     if np.any(sweeps < 0):
-        member = int(np.flatnonzero(sweeps < 0)[0])
-        raise ConvergenceError(
-            f"no convergence within {MAX_SWEEPS} sweeps (member {member}, n={n})"
-        )
+        member = "" if single else f"member {np.flatnonzero(sweeps < 0)[0]}, "
+        raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps ({member}n={n})")
 
     vals = np.diagonal(work, axis1=1, axis2=2)
     order = np.argsort(vals, axis=1, kind="stable")
@@ -158,16 +146,18 @@ def _eig_stack(m: np.ndarray) -> EigenSystem:
     ortho = np.max(np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(n)), axis=(1, 2))
     resid = np.max(np.abs(sym @ vecs - vecs * vals[:, np.newaxis, :]), axis=(1, 2))
     scale = 1.0 + np.max(np.abs(sym), axis=(1, 2))
-    bad = np.flatnonzero((ortho > 1e-12) | (resid > 1e-10 * scale))
+    bad = np.flatnonzero(~((ortho <= 1e-12) & (resid <= 1e-10 * scale)))
     if bad.size:
-        member = int(bad[0])
+        k = bad[0]
         raise ConvergenceError(
-            f"decomposition check failed for member {member}: orthogonality "
-            f"{ortho[member]:.3e}, residual {resid[member]:.3e}"
+            f"decomposition check failed{'' if single else f' for member {k}'}: "
+            f"orthogonality {ortho[k]:.3e}, residual {resid[k]:.3e}"
         )
-    for array in (vals, vecs, sweeps):
+    for array in (vals, vecs, sweeps, ortho, resid):
         array.setflags(write=False)
-    return EigenSystem(values=vals, vectors=vecs, sweeps=sweeps)
+    if single:
+        return EigenSystem(vals[0], vecs[0], int(sweeps[0]), float(ortho[0]), float(resid[0]))
+    return EigenSystem(vals, vecs, sweeps, ortho, resid)
 
 
 def eigenvalue_multiset_equal(

@@ -116,6 +116,21 @@ class TestRoundTrip:
     def test_dump_parse_identity(self, cfg):
         assert parse_config(dump_config(cfg)) == cfg
 
+    def test_dump_bytes(self):
+        cfg = RunConfig(
+            SystemParams(0.1, -0.30000000000000004, 2.5, -1.75),
+            DampingParams(5e-324, 1e308, 0.2, 0.0, 0.05),
+            SweepSpec(-5.0, 5.0, 2001),
+        )
+        assert dump_config(cfg) == (
+            "omega_c = 0.1\nomega_a = -0.30000000000000004\ng = 2.5\nkappa = -1.75\n"
+            "gamma1 = 5e-324\ngamma2 = 1e+308\ngammac1 = 0.2\ngammac2 = 0.0\n"
+            "gamma_a = 0.05\nsweep_start = -5.0\nsweep_stop = 5.0\nsweep_count = 2001\n"
+        )
+        assert dump_config(RunConfig(SystemParams(0.0, 0.0, 1.0, 0.0), None, None)) == (
+            "omega_c = 0.0\nomega_a = 0.0\ng = 1.0\nkappa = 0.0\n"
+        )
+
     def test_dump_is_stable(self):
         cfg = parse_config("omega_a = 2\nkappa = 2\ngamma_a = 0.05\n")
         assert dump_config(cfg) == dump_config(parse_config(dump_config(cfg)))

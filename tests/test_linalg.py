@@ -37,6 +37,20 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="finite"):
             SymMatrix([[1.0, math.nan], [math.nan, 1.0]])
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # Finite entries whose sum A + A^T overflows to inf.
+            [[1.0, 1.7e308], [1.7e308, 1.0]],
+            [[1.0, math.inf], [-math.inf, 1.0]],
+        ],
+    )
+    def test_non_finite_symmetrization_rejected(self, entries):
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(entries)
+        with pytest.raises(ValueError, match="finite"):
+            eig_sym(np.array(entries))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             SymMatrix([[1.0, 2.0, 3.0], [2.0, 1.0, 0.0]])
@@ -81,6 +95,18 @@ class TestEigSym:
         second = eig_sym(a)
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
+
+    def test_non_finite_kernel_output_rejected(self, monkeypatch):
+        cycle = linalg._kernel.jacobi_cycle
+
+        def nan_on_diagonal(a, v, tol, cap):
+            sweeps = cycle(a, v, tol, cap)
+            a[2, 2] = math.nan
+            return sweeps
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", nan_on_diagonal)
+        with pytest.raises(linalg.ConvergenceError, match="residual nan"):
+            eig_sym(SymMatrix(np.eye(3)))
 
     def test_zero_matrix(self):
         system = eig_sym(SymMatrix(np.zeros((5, 5))))
@@ -230,6 +256,18 @@ class TestStackedKernel:
         with pytest.raises(linalg.ConvergenceError, match="member 1: orthogonality"):
             eig_sym(stack)
 
+    def test_non_finite_kernel_output_names_member(self, monkeypatch):
+        stacked = linalg._kernel.jacobi_stack
+
+        def nan_on_diagonal(a, v, tol, cap):
+            sweeps = stacked(a, v, tol, cap)
+            a[1, 2, 2] = math.nan
+            return sweeps
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_stack", nan_on_diagonal)
+        with pytest.raises(linalg.ConvergenceError, match="member 1: .* residual nan"):
+            eig_sym(np.stack([np.eye(3), np.eye(3)]))
+
     @pytest.mark.parametrize(
         "stack, needle",
         [
@@ -239,11 +277,37 @@ class TestStackedKernel:
             (np.zeros((2, 0, 0)), "square"),
             (np.zeros((0, 3, 3)), "square"),
             (np.zeros((2, 2, 3, 3)), "square"),
+            (np.zeros(3), "square"),
+            (np.array([np.eye(2), [[1.0, 1.7e308], [1.7e308, 1.0]]]), "finite"),
         ],
     )
     def test_bad_stack_rejected(self, stack, needle):
         with pytest.raises(ValueError, match=needle):
             eig_sym(stack)
+
+
+class TestKernelChoice:
+    def test_stack_of_one_runs_jacobi_cycle(self, monkeypatch):
+        a = random_symmetric(random.Random(1007), 7)
+        alone = eig_sym(a)
+
+        def refuse(*args):
+            raise AssertionError("jacobi_stack called for a stack of one")
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_stack", refuse)
+        system = eig_sym(a.to_array()[np.newaxis])
+        assert system.values.shape == (1, 7) and system.vectors.shape == (1, 7, 7)
+        assert system.sweeps.shape == (1,) and system.sweeps[0] == alone.sweeps
+        assert system.values[0].tobytes() == alone.values.tobytes()
+        assert system.vectors[0].tobytes() == alone.vectors.tobytes()
+
+    def test_stack_of_two_runs_jacobi_stack(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("jacobi_cycle called for a stack")
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", refuse)
+        system = eig_sym(np.stack([np.eye(3), np.ones((3, 3))]))
+        assert system.values.shape == (2, 3)
 
 
 class TestSweepsReported:
@@ -257,6 +321,23 @@ class TestSweepsReported:
         system = eig_sym(np.stack([np.eye(7), a, a]))
         assert system.sweeps.dtype == np.int64
         assert system.sweeps.tolist() == [0, 5, 5]
+
+
+class TestCheckReported:
+    def test_identity_reports_exact_zeros(self):
+        system = eig_sym(SymMatrix(np.eye(4)))
+        assert type(system.orthogonality) is float and type(system.residual) is float
+        assert (system.orthogonality, system.residual) == (0.0, 0.0)
+
+    def test_stack_reports_each_member(self):
+        a = random_symmetric(random.Random(1007), 7)
+        system = eig_sym(np.stack([np.eye(7), a.to_array()]))
+        alone = eig_sym(a)
+        for reported in (system.orthogonality, system.residual):
+            assert reported.shape == (2,) and not reported.flags.writeable
+        assert system.orthogonality.tolist() == [0.0, alone.orthogonality]
+        assert system.residual.tolist() == [0.0, alone.residual]
+        assert 0.0 < alone.residual <= 1e-10 * (1.0 + a.max_abs())
 
 
 class TestMultisetEqual:
