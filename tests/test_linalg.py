@@ -4,12 +4,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jcpair import linalg
 from jcpair.linalg import SymMatrix, eig_sym, eigenvalue_multiset_equal
+from jcpair.model import SystemParams
+from jcpair.sectors import build_hamiltonian, enumerate_sector
 
 
 def eig2(a, b, c):
@@ -286,7 +288,118 @@ class TestStackedKernel:
             eig_sym(stack)
 
 
+ROWS_FROM_N = linalg._kernel._ROWS_FROM_N
+
+
+def solve_both_loops(m, max_sweeps=linalg.MAX_SWEEPS):
+    """(sweeps, values bytes, vectors bytes) of ``m`` through each inner loop."""
+    results = []
+    for loop in (linalg._kernel._cycle_lists, linalg._kernel._cycle_rows):
+        work, vecs = m.copy(), np.eye(len(m))
+        sweeps = loop(work, vecs, linalg.REL_TOL, max_sweeps)
+        results.append((sweeps, work.tobytes(), vecs.tobytes()))
+    return results
+
+
+def ladder_block(nu):
+    rng = random.Random(f"ladder:{nu}")
+    g = rng.uniform(0.5, 2.0)
+    omega_c = rng.uniform(-2.0, 2.0)
+    p = SystemParams(omega_c=omega_c, omega_a=omega_c + rng.uniform(-3.0, 3.0) * g,
+                     g=g, kappa=rng.uniform(-3.0, 3.0) * g)
+    return build_hamiltonian(p, enumerate_sector(nu)).matrix.to_array()
+
+
+@st.composite
+def loop_inputs(draw):
+    sizes = sorted({*range(1, 9), *range(ROWS_FROM_N - 3, ROWS_FROM_N + 5), 48})
+    n = draw(st.sampled_from(sizes))
+    m = draw(arrays(np.float64, (n, n), elements=stack_entries))
+    m = 0.5 * (m + m.T)
+    if draw(st.booleans()):
+        # Dense random entries wherever the drawn matrix holds neither zero.
+        noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-10.0, 10.0, (n, n))
+        m = np.where(m == 0.0, m, 0.5 * (noise + noise.T))
+    return m, draw(st.sampled_from([linalg.MAX_SWEEPS, 0, 1]))
+
+
+class TestInnerLoops:
+    """``_cycle_lists`` and ``_cycle_rows`` give the same bits on any input."""
+
+    @settings(max_examples=100)
+    @given(loop_inputs())
+    def test_loops_agree(self, case):
+        m, max_sweeps = case
+        lists, rows = solve_both_loops(m, max_sweeps)
+        assert lists == rows
+
+    @pytest.mark.parametrize("nu", range(1, 13))
+    def test_ladder_blocks_agree(self, nu):
+        lists, rows = solve_both_loops(ladder_block(nu))
+        assert lists == rows and lists[0] > 0
+
+    def test_boundary_stays_above_validate_sizes(self):
+        assert ROWS_FROM_N > 16
+
+
+# Sizes on both sides of the list/row boundary, members on both kernels.
+@st.composite
+def lapack_cases(draw):
+    n, count = draw(st.integers(1, 48)), draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(-10.0, 10.0, (count, n, n))
+    m[rng.random(m.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+class TestAgainstLapack:
+    @settings(max_examples=25)
+    @given(lapack_cases())
+    def test_values_match_eigvalsh(self, stack):
+        values = eig_sym(stack[0]).values[np.newaxis] if len(stack) == 1 else eig_sym(stack).values
+        expected = np.linalg.eigvalsh(stack)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.abs(values - expected) <= 1e-12 * scale)
+
+
+class TestLargeEntries:
+    """Entries whose squares overflow still give a finite stopping threshold."""
+
+    @pytest.mark.parametrize("x", [1e160, 1e300])
+    def test_two_by_two(self, x):
+        system = eig_sym(SymMatrix([[1.0, x], [x, 1.0]]))
+        assert system.sweeps == 1
+        assert system.values.tolist() == [1.0 - x, 1.0 + x]
+
+    def test_scaled_16x16_alone_and_stacked(self):
+        a = random_symmetric(random.Random(1016), 16).to_array() * 1e300
+        expected = np.linalg.eigvalsh(a)
+        tol = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(eig_sym(a).values - expected)) <= tol
+        stacked = eig_sym(np.stack([a, np.eye(16)]))
+        assert np.max(np.abs(stacked.values[0] - expected)) <= tol
+
+    @pytest.mark.parametrize("n", [2, ROWS_FROM_N])
+    def test_every_path_agrees(self, n):
+        a = random_symmetric(random.Random(2000 + n), n).to_array() * 1e300
+        lists, rows = solve_both_loops(a)
+        assert lists == rows and lists[0] > 0
+        work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
+        sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
+
+
 class TestKernelChoice:
+    @pytest.mark.parametrize(
+        "n, refused", [(ROWS_FROM_N - 1, "_cycle_rows"), (ROWS_FROM_N, "_cycle_lists")]
+    )
+    def test_single_matrix_loop_by_size(self, monkeypatch, n, refused):
+        def refuse(*args):
+            raise AssertionError(f"{refused} called for n = {n}")
+
+        monkeypatch.setattr(linalg._kernel, refused, refuse)
+        assert eig_sym(random_symmetric(random.Random(n), n)).sweeps > 0
+
     def test_stack_of_one_runs_jacobi_cycle(self, monkeypatch):
         a = random_symmetric(random.Random(1007), 7)
         alone = eig_sym(a)
