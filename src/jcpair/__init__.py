@@ -18,6 +18,7 @@ from .linalg import (
     EigenSystem,
     SymMatrix,
     eig_sym,
+    eig_sym_many,
     eigenvalue_multiset_equal,
 )
 from .model import (

@@ -11,6 +11,11 @@ cost a fixed time each, so on a 2-vCPU Xeon VM a dense 48x48 takes 0.5 s as
 a stack against 0.2 s as lists and 0.07-0.1 s as rows, while 1,000 4x4s take
 10 ms as one stack against 150-200 ms one by one.
 
+``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
+sorted by size, with each result equal to ``eig_sym`` of that matrix bit for
+bit; ``validate``'s 80 eigensolver-suite matrices (n = 1..16) per seed take
+about 0.4 times as long that way as one by one.
+
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
 quadratically; the cap only guards malformed input).  Output is
@@ -21,6 +26,7 @@ eigenvalue multisets, never specific eigenvector entries.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +41,7 @@ __all__ = [
     "SymMatrix",
     "EigenSystem",
     "eig_sym",
+    "eig_sym_many",
     "eigenvalue_multiset_equal",
 ]
 
@@ -127,6 +134,67 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
         a = SymMatrix(a)
     single = isinstance(a, SymMatrix)
     sym = a._m[np.newaxis] if single else _symmetrized(a, 3)
+    work, vecs, sweeps = _sweep(sym)
+    system = _checked(sym, work, vecs, sweeps, None if single else np.arange(len(sym)))
+    if single:
+        return _member(system, 0)
+    return system
+
+
+def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem]:
+    """``[eig_sym(m) for m in matrices]``, bit for bit, solved as one stack.
+
+    The matrices may differ in size.  They are sorted by size, largest
+    first, and zero-padded into one ``(B, N, N)`` stack for the kernel call
+    ``eig_sym`` makes.  Padding changes no bit: every pivot in a padded row
+    or column is +0.0, so those rotations are skipped; a member's own
+    rotations write ``c*0 - s*0 = +0.0`` (``c > 0``) into its padded
+    entries; and its norms only add +0.0 to nonnegative running sums.  Each
+    member is then sorted and checked unpadded, with the members of its
+    size, by the code ``eig_sym`` runs.  An error names the input index of
+    the member that caused it.
+    """
+    syms = []
+    for index, m in enumerate(matrices):
+        try:
+            syms.append((m if isinstance(m, SymMatrix) else SymMatrix(m))._m)
+        except ValueError as error:
+            raise ValueError(f"member {index}: {error}") from None
+    if not syms:
+        return []
+    # Largest first, so the members that still rotate at a padded pivot
+    # position are a leading block of the stack.
+    order = sorted(range(len(syms)), key=lambda index: -len(syms[index]))
+    size = len(syms[order[0]])
+    padded = np.zeros((len(syms), size, size))
+    for row, index in enumerate(order):
+        n = len(syms[index])
+        padded[row, :n, :n] = syms[index]
+    work, vecs, sweeps = _sweep(padded)
+
+    results: list[EigenSystem | None] = [None] * len(syms)
+    start = 0
+    for n, group in itertools.groupby(order, key=lambda index: len(syms[index])):
+        members = np.array(list(group))
+        stop = start + len(members)
+        system = _checked(
+            np.stack([syms[index] for index in members]),
+            work[start:stop, :n, :n],
+            vecs[start:stop, :n, :n],
+            sweeps[start:stop],
+            members,
+        )
+        for k, index in enumerate(members):
+            results[index] = _member(system, k)
+        start = stop
+    return results
+
+
+def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel call: Jacobi sweeps on a copy of the (B, n, n) stack ``sym``.
+
+    Returns the swept matrices, the accumulated rotations and B sweep counts.
+    """
     count, n = sym.shape[0], sym.shape[1]
     work = sym.copy()
     if count == 1:
@@ -135,8 +203,18 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     else:
         vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
         sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
+    return work, vecs, sweeps
+
+
+def _checked(sym, work, vecs, sweeps, members) -> EigenSystem:
+    """Sort, check and freeze ``_sweep``'s output for the (B, n, n) stack ``sym``.
+
+    ``members`` holds the index each member is named by in an error, or is
+    None for a single matrix, which an error does not number.
+    """
+    n = sym.shape[1]
     if np.any(sweeps < 0):
-        member = "" if single else f"member {np.flatnonzero(sweeps < 0)[0]}, "
+        member = "" if members is None else f"member {members[np.flatnonzero(sweeps < 0)[0]]}, "
         raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps ({member}n={n})")
 
     vals = np.diagonal(work, axis1=1, axis2=2)
@@ -151,14 +229,23 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     if bad.size:
         k = bad[0]
         raise ConvergenceError(
-            f"decomposition check failed{'' if single else f' for member {k}'}: "
+            f"decomposition check failed{'' if members is None else f' for member {members[k]}'}: "
             f"orthogonality {ortho[k]:.3e}, residual {resid[k]:.3e}"
         )
     for array in (vals, vecs, sweeps, ortho, resid):
         array.setflags(write=False)
-    if single:
-        return EigenSystem(vals[0], vecs[0], int(sweeps[0]), float(ortho[0]), float(resid[0]))
     return EigenSystem(vals, vecs, sweeps, ortho, resid)
+
+
+def _member(system: EigenSystem, k: int) -> EigenSystem:
+    """Member ``k`` of a stack's results, as ``eig_sym`` returns one matrix."""
+    return EigenSystem(
+        system.values[k],
+        system.vectors[k],
+        int(system.sweeps[k]),
+        float(system.orthogonality[k]),
+        float(system.residual[k]),
+    )
 
 
 def eigenvalue_multiset_equal(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eigenstates, model, sectors, spectrum, susceptibility
-from .linalg import SymMatrix, eig_sym
+from .linalg import SymMatrix, eig_sym, eig_sym_many
 from .model import DampingParams, SystemParams
 from .spectrum import BRANCHES, BranchLabel
 
@@ -311,16 +311,18 @@ def _random_orthogonal(rng: random.Random, n: int) -> np.ndarray:
 def _suite_eigensolver_properties(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("eigensolver_properties")
     rng = _rng(seed, "jacobi")
+    matrices = []
     for _ in range(max(1, trials // 25)):
         n = rng.randint(1, 16)
         a = _random_symmetric(rng, n)
-        system = eig_sym(a)
+        q = _random_orthogonal(rng, n)
+        matrices += [a, SymMatrix(q.T @ a.to_array() @ q)]
+    systems = eig_sym_many(matrices)
+    for a, system, rotated in zip(matrices[::2], systems[::2], systems[1::2]):
         trace = float(np.trace(a.to_array()))
         checks.add(
-            abs(trace - float(np.sum(system.values))), 1e-10 * n * max(a.max_abs(), 1.0)
+            abs(trace - float(np.sum(system.values))), 1e-10 * a.n * max(a.max_abs(), 1.0)
         )
-        q = _random_orthogonal(rng, n)
-        rotated = eig_sym(SymMatrix(q.T @ a.to_array() @ q))
         checks.add(float(np.max(np.abs(rotated.values - system.values))), 1e-9)
     return checks.result()
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jcpair import linalg
-from jcpair.linalg import SymMatrix, eig_sym, eigenvalue_multiset_equal
+from jcpair.linalg import SymMatrix, eig_sym, eig_sym_many, eigenvalue_multiset_equal
 from jcpair.model import SystemParams
 from jcpair.sectors import build_hamiltonian, enumerate_sector
 
@@ -362,6 +362,16 @@ class TestAgainstLapack:
         assert np.all(np.abs(values - expected) <= 1e-12 * scale)
 
 
+def assert_every_path_agrees(a):
+    """Lists, rows and a stack of ``a`` with an identity solve ``a`` to the same bits."""
+    n = len(a)
+    lists, rows = solve_both_loops(a)
+    assert lists == rows and lists[0] > 0
+    work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
+    sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+    assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
+
+
 class TestLargeEntries:
     """Entries whose squares overflow still give a finite stopping threshold."""
 
@@ -381,12 +391,169 @@ class TestLargeEntries:
 
     @pytest.mark.parametrize("n", [2, ROWS_FROM_N])
     def test_every_path_agrees(self, n):
-        a = random_symmetric(random.Random(2000 + n), n).to_array() * 1e300
-        lists, rows = solve_both_loops(a)
-        assert lists == rows and lists[0] > 0
-        work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
+        assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e300)
+
+
+class TestTinyEntries:
+    """Entries whose squares underflow still give a nonzero stopping threshold."""
+
+    @pytest.mark.parametrize("x", [1e-170, 1e-250, 1e-300])
+    def test_two_by_two(self, x):
+        system = eig_sym(SymMatrix([[0.0, x], [x, 0.0]]))
+        assert system.sweeps == 1
+        assert system.values.tolist() == [-x, x]
+
+    def test_one_by_one(self):
+        system = eig_sym(SymMatrix([[1e-300]]))
+        assert (system.sweeps, system.values.tolist()) == (0, [1e-300])
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-250, 1e-300])
+    @pytest.mark.parametrize("shape", [(1, 16), (1, ROWS_FROM_N + 3), (8, 4)])
+    def test_values_match_eigvalsh(self, scale, shape):
+        count, n = shape
+        rng = random.Random(3000 + n)
+        stack = np.stack([random_symmetric(rng, n).to_array() * scale for _ in range(count)])
+        values = eig_sym(stack[0]).values[np.newaxis] if count == 1 else eig_sym(stack).values
+        expected = np.linalg.eigvalsh(stack)
+        scale = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.abs(values - expected) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("exponent", [-600, -900])
+    @pytest.mark.parametrize("shape", [(1, 16), (1, ROWS_FROM_N + 3), (8, 4)])
+    def test_power_of_two_scale_is_exact(self, exponent, shape):
+        # Scaling by 2**exponent rounds nothing while entries stay normal, so
+        # the solve must match the unscaled one bit for bit and sweep for sweep.
+        count, n = shape
+        rng = random.Random(3000 + n)
+        stack = np.stack([random_symmetric(rng, n).to_array() for _ in range(count)])
+        plain, scaled = (
+            eig_sym(m[0]) if count == 1 else eig_sym(m) for m in (stack, stack * 2.0**exponent)
+        )
+        assert np.array_equal(scaled.sweeps, plain.sweeps)
+        assert scaled.values.tobytes() == (plain.values * 2.0**exponent).tobytes()
+        assert scaled.vectors.tobytes() == plain.vectors.tobytes()
+
+    @pytest.mark.parametrize("n", [2, ROWS_FROM_N])
+    def test_every_path_agrees(self, n):
+        assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e-300)
+
+
+def padded_stack(sizes, seed):
+    """Random symmetric members of the given sizes, zero-padded to the largest."""
+    rng, size = random.Random(seed), max(sizes)
+    stack = np.zeros((len(sizes), size, size))
+    for member, n in enumerate(sizes):
+        stack[member, :n, :n] = random_symmetric(rng, n).to_array()
+    return stack
+
+
+class TestZeroPivotBranches:
+    """``jacobi_stack`` rotates only the members whose pivot is nonzero.
+
+    In a padded stack every pivot in a member's padding is zero.  Sorted by
+    size, largest first, the members that rotate are a leading block, which
+    is rotated in place; in any other order they are gathered and scattered.
+    Rotating a padded pivot (0 / 0) would turn a member into NaNs.
+    """
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[7, 7, 5, 3, 3, 1], [7, 3, 5, 2, 7], [2, 7, 7, 4]],
+        ids=["leading", "interleaved", "small_first"],
+    )
+    def test_members_match_jacobi_cycle(self, sizes):
+        stack = padded_stack(sizes, seed=len(sizes))
+        size = stack.shape[1]
+        work, vecs = stack.copy(), np.broadcast_to(np.eye(size), stack.shape).copy()
         sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
-        assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
+        for member, n in enumerate(sizes):
+            alone, alone_vecs = stack[member, :n, :n].copy(), np.eye(n)
+            assert sweeps[member] == linalg._kernel.jacobi_cycle(
+                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
+            )
+            assert work[member, :n, :n].tobytes() == alone.tobytes()
+            assert vecs[member, :n, :n].tobytes() == alone_vecs.tobytes()
+            # The padding comes back as +0.0 in A and the identity in V.
+            padded_a, padded_v = np.zeros((size, size)), np.eye(size)
+            padded_a[:n, :n], padded_v[:n, :n] = alone, alone_vecs
+            assert work[member].tobytes() == padded_a.tobytes()
+            assert vecs[member].tobytes() == padded_v.tobytes()
+
+
+@st.composite
+def mixed_sizes(draw):
+    """1-6 symmetric matrices of mixed sizes n = 1..10, holding zeros of both signs."""
+    matrices = []
+    for n in draw(st.lists(st.integers(1, 10), min_size=1, max_size=6)):
+        m = draw(arrays(np.float64, (n, n), elements=stack_entries))
+        matrices.append(0.5 * (m + m.T))
+    return matrices
+
+
+class TestEigSymMany:
+    @given(mixed_sizes())
+    def test_each_member_equals_eig_sym(self, matrices):
+        systems = eig_sym_many(matrices)
+        assert len(systems) == len(matrices)
+        for m, system in zip(matrices, systems):
+            alone = eig_sym(m)
+            assert system.values.tobytes() == alone.values.tobytes()
+            assert system.vectors.tobytes() == alone.vectors.tobytes()
+            assert type(system.sweeps) is int and system.sweeps == alone.sweeps
+            for field in ("orthogonality", "residual"):
+                mine, theirs = getattr(system, field), getattr(alone, field)
+                assert type(mine) is float
+                assert np.float64(mine).tobytes() == np.float64(theirs).tobytes()
+            assert not system.values.flags.writeable and not system.vectors.flags.writeable
+
+    def test_empty(self):
+        assert eig_sym_many([]) == []
+
+    def test_takes_sym_matrices_and_arrays(self):
+        a = random_symmetric(random.Random(1007), 7)
+        systems = eig_sym_many([a, np.eye(3), a.to_array().tolist()])
+        alone = eig_sym(a).values.tobytes()
+        assert systems[0].values.tobytes() == systems[2].values.tobytes() == alone
+        assert systems[1].values.tolist() == [1.0, 1.0, 1.0]
+
+    def test_one_stack_for_mixed_sizes(self, monkeypatch):
+        calls = []
+        stacked = linalg._kernel.jacobi_stack
+
+        def record(a, v, tol, cap):
+            calls.append(a.shape)
+            return stacked(a, v, tol, cap)
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_stack", record)
+        eig_sym_many([np.eye(2), np.ones((5, 5)), np.eye(3)])
+        assert calls == [(3, 5, 5)]
+
+    @pytest.mark.parametrize(
+        "bad, needle",
+        [
+            ([[1.0, math.nan], [0.0, 1.0]], "member 1: matrix entries .* finite"),
+            (np.zeros((2, 3)), "member 1: expected a square matrix"),
+            (np.zeros((2, 2, 2)), "member 1: expected a square matrix"),
+        ],
+    )
+    def test_bad_member_named(self, bad, needle):
+        with pytest.raises(ValueError, match=needle):
+            eig_sym_many([np.eye(2), bad, np.eye(4)])
+
+    def test_unconverged_member_named(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        a = random_symmetric(random.Random(1004), 4)
+        with pytest.raises(linalg.ConvergenceError, match=r"\(member 2, n=4\)"):
+            eig_sym_many([np.eye(6), np.eye(3), a])
+
+    def test_failed_check_names_input_index(self, monkeypatch):
+        # A kernel that rotates nothing leaves the 2x2 of ones undiagonalized;
+        # the size sort puts it last in the stack, but its input index is 1.
+        monkeypatch.setattr(
+            linalg._kernel, "jacobi_stack", lambda a, v, tol, cap: np.zeros(len(a), dtype=np.int64)
+        )
+        with pytest.raises(linalg.ConvergenceError, match="member 1: orthogonality"):
+            eig_sym_many([np.eye(3), np.ones((2, 2)), np.eye(4)])
 
 
 class TestKernelChoice:
