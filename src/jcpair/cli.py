@@ -13,6 +13,7 @@ import stat
 import sys
 from contextlib import contextmanager
 from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,31 +37,56 @@ def _literal(text: str) -> str:
 
 
 # Rows are formatted with one %-template per block of _BLOCK_ROWS rows, and
-# the text is joined once from the blocks: no per-row object is built, and no
-# whole-text template, flattened cell tuple or growing buffer is allocated.
-# Freed and reused by the heap, those made a process's peak memory differ by
-# tens of MB from one run of the same commands to the next.
+# each block is written before the next is formatted, so the memory a data
+# file takes is one block's, whatever the row count.  No per-row object is
+# built, and no whole-text template, flattened cell tuple or growing buffer
+# is allocated: freed and reused by the heap, those made a process's peak
+# memory differ by tens of MB from one run of the same commands to the next.
 _BLOCK_ROWS = 1024
 
 
-def _row_blocks(row: str, sep: str, columns: list) -> list[str]:
+def _row_blocks(row: str, sep: str, columns: list) -> Iterator[str]:
     """The rows of equal-length columns (arrays or lists), each formatted
-    with the %-template ``row`` and followed by ``sep`` except the last."""
-    template = row + sep
-    blocks = []
+    with the %-template ``row`` and separated by ``sep``, one block of up
+    to ``_BLOCK_ROWS`` rows at a time."""
+    template = sep + row
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         parts = [col[start : start + _BLOCK_ROWS] for col in columns]
         lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
-        blocks.append(template * len(lists[0]) % tuple(chain.from_iterable(zip(*lists))))
-    if blocks:
-        blocks[-1] = blocks[-1][: len(blocks[-1]) - len(sep)]
-    return blocks
+        block = template * len(lists[0]) % tuple(chain.from_iterable(zip(*lists)))
+        yield block[len(sep) :] if start == 0 else block
+
+
+def _csv_parts(header: list[str], columns: list) -> Iterator[str]:
+    """The header line and data rows of a CSV file, in parts formatted as
+    they are taken."""
+    # %s of a Python float is its shortest round-trip repr.
+    row = ",".join(["%s"] * len(header)) + "\n"
+    yield ",".join(header) + "\n"
+    yield from _row_blocks(row, "", columns)
 
 
 def _csv_text(header: list[str], columns: list) -> str:
-    # %s of a Python float is its shortest round-trip repr.
-    row = ",".join(["%s"] * len(header)) + "\n"
-    return "".join([",".join(header) + "\n", *_row_blocks(row, "", columns)])
+    return "".join(_csv_parts(header, columns))
+
+
+def _json_parts(payload: dict, header: list[str] | None = None) -> Iterator[str]:
+    """The JSON text of ``_json_text``, in parts formatted as they are taken."""
+    if header is None:
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    fields = ",\n".join(f"      {_literal(json.dumps(name))}: %r" for name in header)
+    row = "    {\n" + fields + "\n    }"
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield ("," if i else "") + f"\n  {json.dumps(key)}: "
+        if key == "data":
+            yield "[\n"
+            yield from _row_blocks(row, ",\n", value)
+            yield "\n  ]"
+        else:
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
 
 
 def _json_text(payload: dict, header: list[str] | None = None) -> str:
@@ -72,19 +98,7 @@ def _json_text(payload: dict, header: list[str] | None = None) -> str:
     through ``%r``, the ``float.__repr__`` that the encoder uses.  The values
     must be finite numbers.
     """
-    if header is None:
-        return json.dumps(payload, indent=2) + "\n"
-    fields = ",\n".join(f"      {_literal(json.dumps(name))}: %r" for name in header)
-    row = "    {\n" + fields + "\n    }"
-    parts = ["{"]
-    for i, (key, value) in enumerate(payload.items()):
-        parts.append(("," if i else "") + f"\n  {json.dumps(key)}: ")
-        if key == "data":
-            parts += ["[\n", *_row_blocks(row, ",\n", value), "\n  ]"]
-        else:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    parts.append("\n}\n")
-    return "".join(parts)
+    return "".join(_json_parts(payload, header))
 
 
 def _discard(path: str) -> None:
@@ -97,7 +111,7 @@ def _discard(path: str) -> None:
 
 @contextmanager
 def _replacing():
-    """Yield a list for ``_write_text(..., staged=)``; at the end of the
+    """Yield a list for ``_write_parts(..., staged=)``; at the end of the
     block move each staged temp file over its target, or on any error
     delete every temp file not yet moved."""
     staged: list[tuple[str, str]] = []
@@ -111,15 +125,17 @@ def _replacing():
             _discard(temp)
 
 
-def _stage(path: str, text: str, staged: list[tuple[str, str]]) -> None:
-    """Write ``text`` to a new temp file beside the file ``path`` names and
-    add ``(temp, target)`` to ``staged``.
+def _stage(path: str, parts: Iterable[str], staged: list[tuple[str, str]]) -> None:
+    """Write ``parts``, one after the other as they are produced, to a new
+    temp file beside the file ``path`` names and add ``(temp, target)`` to
+    ``staged``.
 
     A symlink's target is replaced, not the link.  Where a rename would not
     do what writing ``path`` does, ``path`` is written in place instead: a
     device, FIFO or other non-regular file, a file with more than one hard
     link, or a file whose temp file cannot be created (a read-only
-    directory, or that name already taken).
+    directory, or that name already taken).  A file written in place holds
+    the parts written so far if producing or writing a later part fails.
     """
     target = os.path.realpath(path)
     try:
@@ -137,26 +153,35 @@ def _stage(path: str, text: str, staged: list[tuple[str, str]]) -> None:
             with handle:
                 if info is not None:
                     os.chmod(temp, stat.S_IMODE(info.st_mode))
-                handle.write(text)
+                handle.writelines(parts)
             return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(parts)
+
+
+def _write_parts(path: str | None, parts: Iterable[str], *, staged: list | None = None) -> None:
+    """Write the concatenation of ``parts`` to ``path``, or to stdout when
+    ``path`` is None, taking each part only once the one before is written.
+
+    ``path`` holds either its old content or all of the new, unless it is
+    written in place (see ``_stage``).  With ``staged`` from ``_replacing``,
+    the file is replaced only at the end of that block, together with the
+    others staged there.
+    """
+    if path is None:
+        sys.stdout.writelines(parts)
+    elif staged is not None:
+        _stage(path, parts, staged)
+    else:
+        with _replacing() as staged:
+            _stage(path, parts, staged)
 
 
 def _write_text(path: str | None, text: str, *, staged: list | None = None) -> None:
-    """Write ``text`` to ``path``, or to stdout when ``path`` is None.
-
-    ``path`` holds either its old content or all of the new (see
-    ``_stage``).  With ``staged`` from ``_replacing``, the file is replaced
-    only at the end of that block, together with the others staged there.
-    """
-    if path is None:
-        sys.stdout.write(text)
-    elif staged is not None:
-        _stage(path, text, staged)
-    else:
-        with _replacing() as staged:
-            _stage(path, text, staged)
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None, as
+    ``_write_parts`` writes the one part ``text``: a file written in place
+    may hold a prefix of ``text`` if the write fails."""
+    _write_parts(path, (text,), staged=staged)
 
 
 def _require_sweep(cfg: RunConfig, command: str):
@@ -192,10 +217,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     header = ["delta"] + [f"omega_{label.key}" for label in BRANCHES]
     if args.format == "csv":
-        _write_text(args.out, _csv_text(header, columns))
+        _write_parts(args.out, _csv_parts(header, columns))
     else:
         payload = {"config": config_dict(cfg), "data": columns, "summary": summary}
-        _write_text(args.out, _json_text(payload, header))
+        _write_parts(args.out, _json_parts(payload, header))
     return 0
 
 
@@ -225,16 +250,12 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     columns = [curve.omega_p, curve.re_chi, curve.im_chi]
     if args.format == "csv":
         # The data file and its summary are replaced only once both are written.
-        files = [
-            (args.out, _csv_text(header, columns)),
-            (args.out + ".summary.json", _json_text(summary)),
-        ]
         with _replacing() as staged:
-            for path, text in files:
-                _write_text(path, text, staged=staged)
+            _write_parts(args.out, _csv_parts(header, columns), staged=staged)
+            _write_text(args.out + ".summary.json", _json_text(summary), staged=staged)
     else:
         payload = {"config": config_dict(cfg), "data": columns, "summary": summary}
-        _write_text(args.out, _json_text(payload, header))
+        _write_parts(args.out, _json_parts(payload, header))
     return 0
 
 

@@ -79,8 +79,18 @@ def energies(omega_c: float, delta, g: float, kappa: float) -> np.ndarray:
     (4,)``.  Every element is rounded exactly as the scalar float expression
     ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``.
     """
+    # In place on two buffers of the result's shape.  Each step rounds as the
+    # expression does; the operands of + and * may swap, which IEEE leaves exact.
     x = np.add.outer(delta, _EPSILON * kappa)
-    return omega_c - 0.5 * x + _BRANCH * np.sqrt(g * g + 0.25 * x * x)
+    root = 0.25 * x
+    root *= x
+    root += g * g
+    np.sqrt(root, out=root)
+    root *= _BRANCH
+    x *= 0.5
+    np.subtract(omega_c, x, out=x)
+    x += root
+    return x
 
 
 def one_excitation_energies(p: SystemParams) -> dict[BranchLabel, float]:

@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import jcpair.cli
 import jcpair.config
 import jcpair.spectrum
-from jcpair.cli import _BLOCK_ROWS, _csv_text, _json_text, _write_text, main
+from jcpair.cli import _BLOCK_ROWS, _csv_parts, _csv_text, _json_parts, _json_text, _write_text, main
 
 
 def write(path, text):
@@ -509,8 +510,69 @@ class TestRowTemplateWriters:
         assert _json_text(payload, header) == reference_json_text(payload, header)
 
 
+class Unformattable:
+    """A cell whose formatting fails, to find out when it is formatted."""
+
+    def __repr__(self):
+        raise LookupError("cell formatted")
+
+    __str__ = __repr__
+
+
+class TestStreamedOutput:
+    """Data files are formatted and written one block of rows at a time."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writing_peaks_below_an_eighth_of_the_file(self, tmp_path, monkeypatch, fmt):
+        # One 1,024-row block, with its lists of floats and its encoded copy,
+        # peaks at ~0.45 MB as CSV and ~0.8 MB as JSON, whatever the row count.
+        cfg = write(tmp_path / "run.cfg", "g = 1\nkappa = 0.7\nsweep_start = -8\nsweep_stop = 8\nsweep_count = 60001\n")
+        out = tmp_path / f"out.{fmt}"
+        require_finite = jcpair.cli._require_finite
+        before_write = []
+
+        def require_finite_then_reset_peak(*args):
+            require_finite(*args)
+            tracemalloc.reset_peak()
+            before_write.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(jcpair.cli, "_require_finite", require_finite_then_reset_peak)
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before_write[-1] < out.stat().st_size / 8
+
+    def test_parts_are_formatted_as_taken(self):
+        column = [0.5] * _BLOCK_ROWS + [Unformattable()]
+        csv_parts = _csv_parts(["x"], [column])
+        assert [next(csv_parts), next(csv_parts)] == ["x\n", "0.5\n" * _BLOCK_ROWS]
+        with pytest.raises(LookupError):
+            next(csv_parts)
+        json_parts = _json_parts({"data": [column]}, ["x"])
+        assert "".join(next(json_parts) for _ in range(4)).endswith('"x": 0.5\n    }')
+        with pytest.raises(LookupError):
+            next(json_parts)
+
+
+def fail_second_block(monkeypatch):
+    """Make each data file's second block of 8 rows fail to format."""
+    row_blocks = jcpair.cli._row_blocks
+
+    def first_block_only(*args):
+        blocks = row_blocks(*args)
+        yield next(blocks)
+        raise MemoryError("formatting the second block")
+
+    monkeypatch.setattr(jcpair.cli, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(jcpair.cli, "_row_blocks", first_block_only)
+
+
 class TestAtomicWrites:
-    """An output file holds its old bytes or all of the new ones."""
+    """An output file holds its old bytes or all of the new ones, unless it
+    is written in place."""
 
     def test_failing_write_leaves_no_file(self, tmp_path):
         target = tmp_path / "out.csv"
@@ -615,4 +677,39 @@ class TestAtomicWrites:
         monkeypatch.setattr(jcpair.cli, "open", open_without_create, raising=False)
         expected = self.spectrum_bytes(tmp_path, out)
         assert out.read_bytes() == expected
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failing_block_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"stale\n")
+        fail_second_block(monkeypatch)
+        cfg = write(tmp_path / "run.cfg", self.SPECTRUM_CFG.replace("5\n", "20\n"))
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert "out of memory" in capsys.readouterr().err
+        assert out.read_bytes() == b"stale\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+    def test_failing_block_keeps_both_old_absorption_files(self, tmp_path, monkeypatch, capsys):
+        cfg = write(tmp_path / "run.cfg", ABSORPTION_CFG.replace("2001", "101"))
+        out = tmp_path / "abs.csv"
+        assert main(["absorption", "--config", cfg, "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        fail_second_block(monkeypatch)
+        assert main(["absorption", "--config", cfg, "--out", str(out)]) == 2
+        assert "out of memory" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_failing_block_leaves_prefix_in_file_written_in_place(self, tmp_path, monkeypatch):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"stale\n")
+        other = tmp_path / "other.csv"
+        os.link(out, other)
+        cfg = write(tmp_path / "run.cfg", self.SPECTRUM_CFG.replace("5\n", "20\n"))
+        fresh = tmp_path / "fresh.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(fresh)]) == 0
+        fail_second_block(monkeypatch)
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        # The header and the first 8 rows, in both names of the file.
+        prefix = b"".join(fresh.read_bytes().splitlines(keepends=True)[:9])
+        assert other.read_bytes() == out.read_bytes() == prefix
         assert not list(tmp_path.glob("*.tmp"))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jcpair import linalg
+from jcpair import linalg, validate
 from jcpair.linalg import SymMatrix, eig_sym, eig_sym_many, eigenvalue_multiset_equal
 from jcpair.model import SystemParams
 from jcpair.sectors import build_hamiltonian, enumerate_sector
@@ -338,8 +338,20 @@ class TestInnerLoops:
         lists, rows = solve_both_loops(ladder_block(nu))
         assert lists == rows and lists[0] > 0
 
-    def test_boundary_stays_above_validate_sizes(self):
-        assert ROWS_FROM_N > 16
+    def test_validate_solves_no_single_matrix_above_4_rows(self, monkeypatch):
+        # validate solves larger matrices as stacks, so the row boundary may move.
+        single_sizes, stack_sizes = [], []
+        solve = validate.eig_sym
+
+        def recording_solve(a):
+            sizes = single_sizes if isinstance(a, SymMatrix) or np.ndim(a) == 2 else stack_sizes
+            sizes.append(a.n if isinstance(a, SymMatrix) else np.shape(a)[-1])
+            return solve(a)
+
+        monkeypatch.setattr(validate, "eig_sym", recording_solve)
+        validate.run_all(1, 100)
+        assert single_sizes and stack_sizes
+        assert max(single_sizes) <= 4
 
 
 # Sizes on both sides of the list/row boundary, members on both kernels.
