@@ -5,6 +5,14 @@ The full Hamiltonian conserves the total number of quanta
 block diagonal over sectors of fixed ``nu``.  This module enumerates the
 sector bases and assembles the dense symmetric matrix of each block.
 
+Assembly works on arrays of parameters.  :func:`sector_terms` gives each
+basis its read-only coefficient matrices of ``omega_c``, ``omega_a``, ``g``
+and ``kappa``, made once from :func:`diagonal_energy` and
+:func:`coupling_element` and cached per basis order.
+:func:`build_hamiltonian_stack` turns parameter arrays of length B into a
+``(B, n, n)`` stack of blocks, and :func:`build_hamiltonian` is its B = 1
+case, so every block carries the same bits whichever way it was asked for.
+
 Basis ordering is part of the public contract so emitted matrices are
 reproducible byte for byte: states are ordered lexicographically in
 ``(n1, c1, n2, c2)`` with ``g < e``, except the one-excitation sector,
@@ -22,7 +30,9 @@ frequencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,10 +44,14 @@ __all__ = [
     "BasisState",
     "SectorBasis",
     "SectorMatrix",
+    "SectorTerms",
     "enumerate_sector",
     "diagonal_energy",
     "coupling_element",
+    "sector_terms",
+    "build_hamiltonian_stack",
     "build_hamiltonian",
+    "build_collective_stack",
     "build_collective_hamiltonian",
 ]
 
@@ -156,19 +170,123 @@ def coupling_element(p: SystemParams, a: BasisState, b: BasisState) -> float:
     return 0.0
 
 
-def build_hamiltonian(p: SystemParams, basis: SectorBasis) -> SectorMatrix:
-    """Assemble the Hamiltonian block of ``basis`` as a dense symmetric matrix."""
-    states = basis.states
+class SectorTerms(NamedTuple):
+    """Read-only ``(n, n)`` coefficient matrices of one sector block.
+
+    Each field is named after the parameter it multiplies: the block of
+    ``p`` is ``p.omega_c*terms.omega_c + p.omega_a*terms.omega_a`` on the
+    diagonal and ``p.g*terms.g - p.kappa*terms.kappa`` off it.  The hopping
+    enters with the Hamiltonian's ``-kappa`` sign, so ``terms.kappa`` holds
+    ``+sqrt((n1+1)*n2)``.  The two diagonal terms vanish off the diagonal,
+    the two coupling terms on it, and no entry lies on the support of both
+    ``g`` and ``kappa``.
+    """
+
+    omega_c: np.ndarray
+    omega_a: np.ndarray
+    g: np.ndarray
+    kappa: np.ndarray
+
+
+def sector_terms(basis: SectorBasis) -> SectorTerms:
+    """The coefficient matrices of ``basis``, made on first use and cached.
+
+    The cache is keyed on the ordered states, so a basis in any order gets
+    the terms of that order.
+    """
+    return _terms(basis.states)
+
+
+# One unit parameter per term; kappa = -1 turns the -kappa hopping into +1.
+_UNIT_PARAMS = (
+    SystemParams(omega_c=1.0, omega_a=0.0, g=0.0),
+    SystemParams(omega_c=0.0, omega_a=1.0, g=0.0),
+    SystemParams(omega_c=0.0, omega_a=0.0, g=1.0),
+    SystemParams(omega_c=0.0, omega_a=0.0, g=0.0, kappa=-1.0),
+)
+
+
+@lru_cache(maxsize=64)
+def _terms(states: tuple[BasisState, ...]) -> SectorTerms:
     n = len(states)
-    m = np.zeros((n, n))
-    for i, si in enumerate(states):
-        m[i, i] = diagonal_energy(p, si)
-        for j in range(i + 1, n):
-            element = coupling_element(p, si, states[j])
-            if element != 0.0:
-                m[i, j] = element
-                m[j, i] = element
+    terms = []
+    for unit in _UNIT_PARAMS:
+        m = np.zeros((n, n))
+        for i, si in enumerate(states):
+            m[i, i] = diagonal_energy(unit, si)
+            for j in range(i + 1, n):
+                m[i, j] = m[j, i] = coupling_element(unit, si, states[j])
+        # Unit parameters give the integer and sqrt coefficients exactly and
+        # every other entry as +0.0 or -0.0; + 0.0 makes each zero +0.0.
+        m += 0.0
+        m.setflags(write=False)
+        terms.append(m)
+    return SectorTerms(*terms)
+
+
+def _parameter_arrays(*values) -> list[np.ndarray]:
+    """The parameters as float arrays broadcast to one common shape ``(B,)``."""
+    arrays = np.broadcast_arrays(*np.atleast_1d(*(np.asarray(v, dtype=float) for v in values)))
+    if arrays[0].ndim != 1:
+        raise ValueError(f"parameters must be scalars or 1-d arrays, got shape {arrays[0].shape}")
+    return arrays
+
+
+def _diagonals(terms: SectorTerms, omega_c: np.ndarray, omega_a: np.ndarray) -> np.ndarray:
+    """``(B, n)`` diagonals ``omega_c*C + omega_a*A``, as :func:`diagonal_energy` rounds them."""
+    return np.multiply.outer(omega_c, terms.omega_c.diagonal()) + np.multiply.outer(
+        omega_a, terms.omega_a.diagonal()
+    )
+
+
+def build_hamiltonian_stack(basis: SectorBasis, omega_c, omega_a, g, kappa) -> np.ndarray:
+    """The ``(B, n, n)`` stack of ``basis`` blocks, one per parameter set.
+
+    Each parameter is a scalar or a 1-d array, and they broadcast to length
+    B.  Member ``b`` equals :func:`build_hamiltonian` of
+    ``SystemParams(omega_c[b], omega_a[b], g[b], kappa[b])`` bit for bit:
+    its diagonal is ``omega_c*C + omega_a*A``, each off-diagonal entry is
+    its one nonzero term (``g*G`` or ``-kappa*K``), and every off-diagonal
+    entry equal to zero is +0.0.  The parameters are taken as given; the
+    eigensolver rejects blocks with entries that are not finite.
+    """
+    terms = sector_terms(basis)
+    omega_c, omega_a, g, kappa = _parameter_arrays(omega_c, omega_a, g, kappa)
+    # The supports are disjoint, so each entry is one term plus zeros, which
+    # leave a nonzero term exact; + 0.0 then turns every -0.0 into +0.0.
+    h = np.multiply.outer(g, terms.g)
+    h -= np.multiply.outer(kappa, terms.kappa)
+    h += 0.0
+    diagonal = np.arange(len(basis))
+    h[:, diagonal, diagonal] = _diagonals(terms, omega_c, omega_a)
+    return h
+
+
+def build_hamiltonian(p: SystemParams, basis: SectorBasis) -> SectorMatrix:
+    """Assemble the Hamiltonian block of ``basis`` as a dense symmetric matrix.
+
+    This is the B = 1 case of :func:`build_hamiltonian_stack`.
+    """
+    m = build_hamiltonian_stack(basis, p.omega_c, p.omega_a, p.g, p.kappa)[0]
     return SectorMatrix(basis=basis, matrix=SymMatrix(m))
+
+
+def build_collective_stack(omega_c, omega_a, g, kappa) -> np.ndarray:
+    """The ``(B, 4, 4)`` stack of one-excitation blocks in the collective basis.
+
+    Parameters broadcast as in :func:`build_hamiltonian_stack`, whose
+    diagonals give the atom and photon energies; member ``b`` is
+    :func:`build_collective_hamiltonian` of the ``b``-th parameter set.
+    """
+    omega_c, omega_a, g, kappa = _parameter_arrays(omega_c, omega_a, g, kappa)
+    diagonals = _diagonals(sector_terms(enumerate_sector(1)), omega_c, omega_a)
+    atom, photon = diagonals[:, 0], diagonals[:, 1]
+    h = np.zeros((g.size, 4, 4))
+    h[:, 0, 0] = photon + kappa
+    h[:, 2, 2] = photon - kappa
+    h[:, 1, 1] = h[:, 3, 3] = atom
+    h[:, 0, 1] = h[:, 1, 0] = h[:, 2, 3] = h[:, 3, 2] = g
+    return h
 
 
 def build_collective_hamiltonian(p: SystemParams, nu: int) -> SectorMatrix:
@@ -196,18 +314,6 @@ def build_collective_hamiltonian(p: SystemParams, nu: int) -> SectorMatrix:
         raise ValueError(f"collective construction supports nu in {{0, 1}}, got {nu}")
     basis = enumerate_sector(nu)
     if nu == 0:
-        m = np.array([[diagonal_energy(p, basis.states[0])]])
-        return SectorMatrix(basis=basis, matrix=SymMatrix(m))
-
-    atom = diagonal_energy(p, BasisState(0, "e", 0, "g"))
-    photon = diagonal_energy(p, BasisState(1, "g", 0, "g"))
-    g = p.g
-    m = np.array(
-        [
-            [photon + p.kappa, g, 0.0, 0.0],
-            [g, atom, 0.0, 0.0],
-            [0.0, 0.0, photon - p.kappa, g],
-            [0.0, 0.0, g, atom],
-        ]
-    )
+        return build_hamiltonian(p, basis)
+    m = build_collective_stack(p.omega_c, p.omega_a, p.g, p.kappa)[0]
     return SectorMatrix(basis=basis, matrix=SymMatrix(m))

@@ -72,16 +72,22 @@ _EPSILON = np.array([label.epsilon for label in BRANCHES], dtype=float)
 _BRANCH = np.array([label.branch for label in BRANCHES], dtype=float)
 
 
-def energies(omega_c: float, delta, g: float, kappa: float) -> np.ndarray:
+def energies(omega_c, delta, g, kappa) -> np.ndarray:
     """The four one-excitation energies, columns in ``BRANCHES`` order.
 
-    Only ``delta`` may be an array; the result has shape ``np.shape(delta) +
-    (4,)``.  Every element is rounded exactly as the scalar float expression
-    ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``.
+    The four parameters broadcast together, each a scalar or an array; the
+    result has shape ``np.broadcast_shapes(*shapes) + (4,)``.  Every element
+    is rounded exactly as the scalar float expression
+    ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``,
+    of its own parameters.
     """
+    omega_c, delta, g, kappa = (
+        np.asarray(value, dtype=float)[..., None] for value in (omega_c, delta, g, kappa)
+    )
     # In place on two buffers of the result's shape.  Each step rounds as the
     # expression does; the operands of + and * may swap, which IEEE leaves exact.
-    x = np.add.outer(delta, _EPSILON * kappa)
+    x = np.empty(np.broadcast_shapes(omega_c.shape, delta.shape, g.shape, kappa.shape, (4,)))
+    np.add(delta, kappa * _EPSILON, out=x)
     root = 0.25 * x
     root *= x
     root += g * g

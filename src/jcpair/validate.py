@@ -4,6 +4,13 @@ Each suite draws random parameters from a deterministic generator, checks
 one family of identities at its contractual tolerance, and reports its
 worst residual.  ``run_all`` is reproducible: identical (seed, trials)
 give identical results, and the text summary is byte-stable.
+
+The one-excitation oracle suites pack their draws into parameter arrays:
+one :func:`jcpair.sectors.build_hamiltonian_stack` call builds every block,
+one ``eig_sym`` call solves each stack, one :func:`jcpair.spectrum.energies`
+call gives every closed form, and the residuals are one array expression,
+fed to the suite in draw order.  ``sector_structure`` assembles blocks
+element by element, the stack builder's independent oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +37,19 @@ class SuiteResult:
     tol: float
 
 
+def _ratio(residual: float, tol: float) -> float:
+    """How far ``residual`` is past ``tol``; NaN for a NaN residual."""
+    if tol > 0:
+        return residual / tol
+    return residual if math.isnan(residual) else (0.0 if residual == 0.0 else math.inf)
+
+
 class _Checks:
-    """Collects (residual, tol) pairs and reduces them to one SuiteResult."""
+    """Collects (residual, tol) pairs and reduces them to one SuiteResult.
+
+    The worst pair has the largest ``residual / tol``, the last one on a tie;
+    a NaN residual ranks above every number.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -41,17 +59,18 @@ class _Checks:
 
     def add(self, residual: float, tol: float) -> None:
         ok = residual <= tol
-        ratio = residual / tol if tol > 0 else (0.0 if residual == 0.0 else math.inf)
-        worst_ratio = (
-            self.worst_residual / self.worst_tol
-            if self.worst_tol > 0
-            else (0.0 if self.worst_residual == 0.0 else math.inf)
-        )
-        if ratio >= worst_ratio:
+        ratio = _ratio(residual, tol)
+        worst_ratio = _ratio(self.worst_residual, self.worst_tol)
+        if math.isnan(ratio) or ratio >= worst_ratio:
             self.worst_residual = residual
             self.worst_tol = tol
         if not ok:
             self.passed = False
+
+    def add_all(self, residuals: np.ndarray, tol: float) -> None:
+        """``add`` each residual in order."""
+        for residual in residuals.ravel().tolist():
+            self.add(residual, tol)
 
     def require(self, condition: bool) -> None:
         self.add(0.0 if condition else 1.0, 0.0)
@@ -73,20 +92,21 @@ def _draw_params(rng: random.Random, g_min: float = 0.1) -> SystemParams:
     return SystemParams(omega_c=omega_c, omega_a=omega_c + delta, g=g, kappa=kappa)
 
 
-def _stack(blocks) -> np.ndarray:
-    """The (B, n, n) stack of sector blocks, for one batched ``eig_sym``."""
-    return np.stack([block.matrix.to_array() for block in blocks])
+def _parameter_columns(draws: list[SystemParams]) -> np.ndarray:
+    """``omega_c, omega_a, g, kappa, delta`` of the draws, one row each, in draw order."""
+    return np.array([(p.omega_c, p.omega_a, p.g, p.kappa, p.delta) for p in draws]).T
 
 
 def _suite_closed_form_vs_oracle(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("closed_form_vs_oracle")
     rng = _rng(seed, "closed_form")
     basis = sectors.enumerate_sector(1)
-    draws = [_draw_params(rng) for _ in range(trials)]
-    numeric = eig_sym(_stack(sectors.build_hamiltonian(p, basis) for p in draws)).values
-    for p, values in zip(draws, numeric):
-        closed = np.sort(list(spectrum.one_excitation_energies(p).values()))
-        checks.add(float(np.max(np.abs(closed - values))), 1e-10)
+    omega_c, omega_a, g, kappa, delta = _parameter_columns(
+        [_draw_params(rng) for _ in range(trials)]
+    )
+    numeric = eig_sym(sectors.build_hamiltonian_stack(basis, omega_c, omega_a, g, kappa)).values
+    closed = np.sort(spectrum.energies(omega_c, delta, g, kappa), axis=-1)
+    checks.add_all(np.max(np.abs(closed - numeric), axis=-1), 1e-10)
     return checks.result()
 
 
@@ -94,17 +114,26 @@ def _suite_eigenstate_residuals(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("eigenstate_residuals")
     rng = _rng(seed, "eigenstates")
     basis = sectors.enumerate_sector(1)
-    for _ in range(max(1, trials // 10)):
-        p = _draw_params(rng)
-        h = sectors.build_hamiltonian(p, basis).matrix.to_array()
-        energies = spectrum.one_excitation_energies(p)
-        vectors = []
-        for label in BRANCHES:
-            v = eigenstates.eigenstate_vector(p, label.epsilon, label.branch)
-            checks.add(float(np.max(np.abs(h @ v - energies[label] * v))), 1e-10)
-            vectors.append(v)
-        gram = np.array(vectors) @ np.array(vectors).T
-        checks.add(float(np.max(np.abs(gram - np.eye(4)))), 1e-10)
+    draws = [_draw_params(rng) for _ in range(max(1, trials // 10))]
+    omega_c, omega_a, g, kappa, delta = _parameter_columns(draws)
+    h = sectors.build_hamiltonian_stack(basis, omega_c, omega_a, g, kappa)
+    energies = spectrum.energies(omega_c, delta, g, kappa)
+    # vectors[b, k] is the eigenvector of draw b's branch k, as a (4, 1) column.
+    vectors = np.array(
+        [
+            [eigenstates.eigenstate_vector(p, label.epsilon, label.branch) for label in BRANCHES]
+            for p in draws
+        ]
+    )[..., None]
+    mismatch = h[:, None] @ vectors - energies[..., None, None] * vectors
+    residuals = np.max(np.abs(mismatch), axis=(-2, -1))
+    # NumPy hands ``a @ a.T`` of one buffer to a symmetric rank-k kernel; the
+    # copy keeps the general product of two arrays, whose bits the text pins.
+    rows = vectors[..., 0]
+    gram = rows @ rows.copy().swapaxes(-1, -2)
+    orthonormality = np.max(np.abs(gram - np.eye(4)), axis=(-2, -1))
+    # Per draw: the four eigenvector residuals in branch order, then its Gram check.
+    checks.add_all(np.column_stack([residuals, orthonormality]), 1e-10)
     return checks.result()
 
 
@@ -148,13 +177,12 @@ def _suite_collective_modes(seed: int, trials: int) -> SuiteResult:
     checks = _Checks("collective_modes")
     rng = _rng(seed, "collective")
     basis = sectors.enumerate_sector(1)
-    draws = [_draw_params(rng, g_min=0.0) for _ in range(max(1, trials // 10))]
-    direct = eig_sym(_stack(sectors.build_hamiltonian(p, basis) for p in draws)).values
-    collective = eig_sym(
-        _stack(sectors.build_collective_hamiltonian(p, 1) for p in draws)
-    ).values
-    for direct_values, collective_values in zip(direct, collective):
-        checks.add(float(np.max(np.abs(direct_values - collective_values))), 1e-10)
+    omega_c, omega_a, g, kappa, _ = _parameter_columns(
+        [_draw_params(rng, g_min=0.0) for _ in range(max(1, trials // 10))]
+    )
+    direct = eig_sym(sectors.build_hamiltonian_stack(basis, omega_c, omega_a, g, kappa)).values
+    collective = eig_sym(sectors.build_collective_stack(omega_c, omega_a, g, kappa)).values
+    checks.add_all(np.max(np.abs(direct - collective), axis=-1), 1e-10)
     p = SystemParams(omega_c=10.0, omega_a=10.0, g=0.0, kappa=2.0)
     values = eig_sym(sectors.build_collective_hamiltonian(p, 1).matrix).values
     checks.add(float(np.max(np.abs(values - np.array([8.0, 10.0, 10.0, 12.0])))), 0.0)
@@ -189,8 +217,8 @@ def _suite_sector_structure(seed: int, trials: int) -> SuiteResult:
                 cross = max(cross, abs(element))
     checks.add(cross, 0.0)
 
-    # Sector blocks cut out of the truncated product Hamiltonian must equal
-    # the direct sector construction entry for entry.
+    # Sector blocks cut out of the truncated product Hamiltonian, assembled
+    # element by element, must equal the stack builder's blocks entry for entry.
     for nu in range(0, 4):
         basis = sectors.enumerate_sector(nu)
         h_sector = sectors.build_hamiltonian(p, basis).matrix.to_array()

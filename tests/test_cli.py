@@ -229,6 +229,19 @@ class TestValidateCommand:
         assert main(["validate", "--seed", "1", "--trials", "30"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_corrupted_energies_fail_the_closed_form_suite(self, monkeypatch, capsys):
+        honest = jcpair.spectrum.energies
+
+        def corrupted(*args):
+            table = honest(*args)
+            table[..., 0] = -table[..., 0]  # flipped sign of one column
+            return table
+
+        monkeypatch.setattr(jcpair.spectrum, "energies", corrupted)
+        assert main(["validate", "--seed", "1", "--trials", "30"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "closed_form_vs_oracle" in line][0].startswith("FAIL ")
+
     def test_trials_must_be_positive(self, capsys):
         assert main(["validate", "--trials", "0"]) == 2
         assert "trials" in capsys.readouterr().err

@@ -3,17 +3,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jcpair.linalg import eig_sym, eigenvalue_multiset_equal
 from jcpair.model import SystemParams, jc_doublet_energies, jc_ground_energy
 from jcpair.sectors import (
     NU_CAP,
     BasisState,
+    SectorBasis,
     build_collective_hamiltonian,
+    build_collective_stack,
     build_hamiltonian,
+    build_hamiltonian_stack,
     coupling_element,
     diagonal_energy,
     enumerate_sector,
+    sector_terms,
 )
 
 
@@ -26,6 +32,35 @@ def random_params(rng, g_min=0.0):
         g=g,
         kappa=rng.uniform(-10.0, 10.0),
     )
+
+
+def element_by_element(p, basis):
+    """The block assembled one entry at a time, nonzero couplings only."""
+    n = len(basis)
+    m = np.zeros((n, n))
+    for i, si in enumerate(basis.states):
+        m[i, i] = diagonal_energy(p, si)
+        for j in range(i + 1, n):
+            element = coupling_element(p, si, basis.states[j])
+            if element != 0.0:
+                m[i, j] = m[j, i] = element
+    return m
+
+
+def parameter_arrays(draws):
+    names = ("omega_c", "omega_a", "g", "kappa")
+    return [np.array([getattr(p, name) for p in draws]) for name in names]
+
+
+# Signed values with magnitudes spread evenly over 1e-300 .. 1e300, and both zeros.
+magnitudes = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(1.0, 10.0, exclude_max=True),
+    st.integers(-300, 299),
+)
+zeros = st.sampled_from([0.0, -0.0])
+signed = st.one_of(zeros, magnitudes, magnitudes.map(lambda x: -x))
+system_params = st.builds(SystemParams, signed, signed, st.one_of(zeros, magnitudes), signed)
 
 
 def product_basis(max_photons):
@@ -225,3 +260,95 @@ class TestCollectiveHamiltonian:
         p = SystemParams(omega_c=0.0, omega_a=0.0, g=1.0, kappa=1.0)
         with pytest.raises(ValueError, match="nu"):
             build_collective_hamiltonian(p, 2)
+
+
+class TestStackBuilder:
+    def test_printed_one_excitation_terms(self):
+        terms = sector_terms(enumerate_sector(1))
+        assert np.array_equal(terms.omega_c, np.diag([1.0, 2.0, 2.0, 1.0]))
+        assert np.array_equal(terms.omega_a, np.diag([0.0, -1.0, -1.0, 0.0]))
+        g = np.zeros((4, 4))
+        g[0, 1] = g[1, 0] = g[2, 3] = g[3, 2] = 1.0
+        assert np.array_equal(terms.g, g)
+        kappa = np.zeros((4, 4))
+        kappa[1, 2] = kappa[2, 1] = 1.0
+        assert np.array_equal(terms.kappa, kappa)
+
+    @given(nu=st.integers(0, NU_CAP), draws=st.lists(system_params, min_size=1, max_size=3))
+    def test_equals_element_by_element_assembly(self, nu, draws):
+        basis = enumerate_sector(nu)
+        stack = build_hamiltonian_stack(basis, *parameter_arrays(draws))
+        assert stack.shape == (len(draws), len(basis), len(basis))
+        for p, member in zip(draws, stack):
+            assert member.tobytes() == element_by_element(p, basis).tobytes()
+
+    @given(nu=st.integers(0, NU_CAP), p=system_params)
+    def test_one_member_is_build_hamiltonian(self, nu, p):
+        basis = enumerate_sector(nu)
+        stack = build_hamiltonian_stack(basis, p.omega_c, p.omega_a, p.g, p.kappa)
+        assert stack.shape == (1, len(basis), len(basis))
+        assert stack[0].tobytes() == build_hamiltonian(p, basis).matrix.to_array().tobytes()
+
+    def test_signed_zeros(self):
+        # -0.0 couplings become +0.0, as the entry-by-entry assembly leaves
+        # them; a -0.0 diagonal entry stays -0.0.
+        p = SystemParams(omega_c=-0.0, omega_a=0.0, g=-0.0, kappa=0.0)
+        for nu in (0, 1, 2):
+            basis = enumerate_sector(nu)
+            stack = build_hamiltonian_stack(basis, p.omega_c, p.omega_a, p.g, p.kappa)
+            assert stack[0].tobytes() == element_by_element(p, basis).tobytes()
+        empty = build_hamiltonian_stack(enumerate_sector(0), -0.0, 0.0, 0.0, 0.0)
+        assert math.copysign(1.0, empty[0, 0, 0]) == -1.0
+        off = build_hamiltonian_stack(enumerate_sector(1), 0.0, 0.0, -0.0, [0.0, -0.0])
+        assert not np.signbit(off[:, ~np.eye(4, dtype=bool)]).any()
+
+    def test_broadcasts_scalars_against_arrays(self):
+        rng = random.Random(5)
+        draws = [random_params(rng) for _ in range(5)]
+        omega_c, omega_a, g, kappa = parameter_arrays(draws)
+        basis = enumerate_sector(2)
+        mixed = build_hamiltonian_stack(basis, 0.5, omega_a, g[0], kappa)
+        for b, member in enumerate(mixed):
+            p = SystemParams(0.5, omega_a[b], g[0], kappa[b])
+            assert member.tobytes() == element_by_element(p, basis).tobytes()
+        with pytest.raises(ValueError, match="1-d"):
+            build_hamiltonian_stack(basis, omega_c[:, None], omega_a, g, kappa)
+
+    def test_basis_in_its_own_order_gets_its_own_terms(self):
+        rng = random.Random(6)
+        canonical = enumerate_sector(2)
+        order = [3, 0, 7, 5, 1, 6, 2, 4]
+        shuffled = SectorBasis(nu=2, states=tuple(canonical.states[i] for i in order))
+        assert sector_terms(shuffled) is not sector_terms(canonical)
+        for _ in range(10):
+            p = random_params(rng)
+            own = build_hamiltonian(p, shuffled).matrix.to_array()
+            assert own.tobytes() == element_by_element(p, shuffled).tobytes()
+            direct = build_hamiltonian(p, canonical).matrix.to_array()
+            assert np.array_equal(own, direct[np.ix_(order, order)])
+
+    def test_terms_are_cached_and_read_only(self):
+        terms = sector_terms(enumerate_sector(3))
+        assert sector_terms(enumerate_sector(3)) is terms
+        for term in terms:
+            assert not term.flags.writeable
+            with pytest.raises(ValueError):
+                term[0, 0] = 1.0
+
+    @given(draws=st.lists(system_params, min_size=1, max_size=4))
+    def test_collective_stack_equals_written_out_blocks(self, draws):
+        stack = build_collective_stack(*parameter_arrays(draws))
+        for p, member in zip(draws, stack):
+            atom = diagonal_energy(p, BasisState(0, "e", 0, "g"))
+            photon = diagonal_energy(p, BasisState(1, "g", 0, "g"))
+            written = np.array(
+                [
+                    [photon + p.kappa, p.g, 0.0, 0.0],
+                    [p.g, atom, 0.0, 0.0],
+                    [0.0, 0.0, photon - p.kappa, p.g],
+                    [0.0, 0.0, p.g, atom],
+                ]
+            )
+            assert member.tobytes() == written.tobytes()
+            single = build_collective_hamiltonian(p, 1).matrix.to_array()
+            assert single.tobytes() == written.tobytes()

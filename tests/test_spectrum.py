@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jcpair.sectors import build_hamiltonian, enumerate_sector
 from jcpair.spectrum import (
     BRANCHES,
     BranchLabel,
+    energies,
     min_gap,
     one_excitation_energies,
     one_excitation_energies_perturbative,
@@ -114,6 +116,58 @@ class TestEnergies:
         energies = one_excitation_energies(SystemParams(omega_c, omega_c + delta, g, 0.0))
         for branch in (+1, -1):
             assert energies[BranchLabel(+1, branch)] == energies[BranchLabel(-1, branch)]
+
+
+def columns(draws):
+    names = ("omega_c", "delta", "g", "kappa")
+    return [np.array([getattr(p, name) for p in draws]) for name in names]
+
+
+system_params = st.builds(
+    lambda omega_c, delta, g, kappa: SystemParams(omega_c, omega_c + delta, g, kappa),
+    values,
+    values,
+    values.map(abs),
+    values,
+)
+
+
+class TestArrayParameters:
+    @given(draws=st.lists(system_params, min_size=1, max_size=6))
+    def test_rows_equal_scalar_closed_forms(self, draws):
+        omega_c, delta, g, kappa = columns(draws)
+        flat = energies(omega_c, delta, g, kappa)
+        column = energies(omega_c[:, None], delta[:, None], g[:, None], kappa[:, None])
+        assert flat.shape == (len(draws), 4) and column.shape == (len(draws), 1, 4)
+        for b, p in enumerate(draws):
+            expected = bits([one_excitation_energies(p)[label] for label in BRANCHES])
+            assert bits(flat[b]) == expected
+            assert bits(column[b, 0]) == expected
+
+    @given(
+        draws=st.lists(system_params, min_size=1, max_size=4),
+        grid=st.lists(values, min_size=1, max_size=5),
+    )
+    def test_parameter_axis_against_delta_grid(self, draws, grid):
+        omega_c, _, g, kappa = columns(draws)
+        table = energies(omega_c[:, None], np.array(grid), g[:, None], kappa[:, None])
+        assert table.shape == (len(draws), len(grid), 4)
+        for b in range(len(draws)):
+            assert bits(table[b]) == bits(energies(omega_c[b], np.array(grid), g[b], kappa[b]))
+
+    def test_scalar_parameters_allocate_two_result_buffers(self):
+        # The sweep path calls this with scalar parameters and 200,001
+        # detunings: the result and one working buffer, nothing more.
+        deltas = np.linspace(-5.0, 5.0, 200_001)
+        buffer = deltas.size * 4 * 8
+        tracemalloc.start()
+        try:
+            table = energies(0.5, deltas, 1.0, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == buffer
+        assert peak < 2.5 * buffer
 
 
 class TestPerturbative:
