@@ -78,20 +78,6 @@ def branch_detuning(p: SystemParams, epsilon: int) -> float:
     return (p.delta + epsilon * p.kappa) / (2.0 * p.g)
 
 
-def _uw(numerator_is_big: bool, negate: bool, big: float, small: float) -> tuple[float, float]:
-    # Both numerator and denominator are expressed through the same
-    # cancellation-free quantity, keeping u and w consistent for any r.
-    if numerator_is_big:
-        scale = math.sqrt(2.0 / (big * big) + 2.0)
-        u = -1.0 / scale if negate else 1.0 / scale
-        w = (1.0 / big) / scale
-    else:
-        d = math.sqrt(2.0 + 2.0 * small * small)
-        u = -small / d if negate else small / d
-        w = 1.0 / d
-    return u, w
-
-
 def amplitudes(r: float, epsilon: int) -> EigenAmplitudes:
     """Eigenstate amplitudes of the sector with dimensionless detuning ``r``.
 
@@ -106,12 +92,14 @@ def amplitudes(r: float, epsilon: int) -> EigenAmplitudes:
     s = math.hypot(1.0, r)
     big = s + abs(r)
     small = 1.0 / big  # == s - |r|, computed without cancellation
-    if r >= 0:
-        u_plus, w_plus = _uw(False, False, big, small)
-        u_minus, w_minus = _uw(True, True, big, small)
-    else:
-        u_plus, w_plus = _uw(True, False, big, small)
-        u_minus, w_minus = _uw(False, True, big, small)
+    # Numerator and denominator of each pair go through the same
+    # cancellation-free quantity, keeping u and w consistent for any r.
+    d = math.sqrt(2.0 + 2.0 * small * small)
+    scale = math.sqrt(2.0 / (big * big) + 2.0)
+    small_u = (small / d, 1.0 / d)  # (u, w) with |u| < |w|
+    big_u = (1.0 / scale, (1.0 / big) / scale)  # (u, w) with |u| >= |w|
+    (u_plus, w_plus), (u_minus, w_minus) = (small_u, big_u) if r >= 0 else (big_u, small_u)
+    u_minus = -u_minus
     return EigenAmplitudes(
         epsilon=epsilon,
         r=r,

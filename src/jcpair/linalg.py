@@ -4,17 +4,18 @@ This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
 every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
-``_jacobi_py`` fork, all to the same bits: one matrix runs ``jacobi_cycle``
-(Python lists below 21 rows, whole NumPy rows from there up), a stack of two
-or more runs ``jacobi_stack``, NumPy calls over all members.  Those calls
-cost a fixed time each, so on a 2-vCPU Xeon VM a dense 48x48 takes 0.5 s as
-a stack against 0.2 s as lists and 0.07-0.1 s as rows, while 1,000 4x4s take
-10 ms as one stack against 150-200 ms one by one.
+``_jacobi_py`` fork, to two drivers with the same bits: one matrix runs
+``jacobi_cycle`` (Python lists below 21 rows, ``jacobi_stack`` on a stack of
+one from there up), and a stack of two or more runs ``jacobi_stack``, NumPy
+calls over all live members.  Those calls cost a fixed time each, so on a
+2-vCPU Xeon VM a dense 48x48 takes 0.11 s as a stack of one against 0.25 s
+as lists, while 1,000 4x4s take 10 ms as one stack against 230-290 ms one by
+one.
 
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
 sorted by size, with each result equal to ``eig_sym`` of that matrix bit for
 bit; ``validate``'s 80 eigensolver-suite matrices (n = 1..16) per seed take
-about 0.4 times as long that way as one by one.
+about a third as long that way as one by one.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges

@@ -292,13 +292,14 @@ ROWS_FROM_N = linalg._kernel._ROWS_FROM_N
 
 
 def solve_both_loops(m, max_sweeps=linalg.MAX_SWEEPS):
-    """(sweeps, values bytes, vectors bytes) of ``m`` through each inner loop."""
-    results = []
-    for loop in (linalg._kernel._cycle_lists, linalg._kernel._cycle_rows):
-        work, vecs = m.copy(), np.eye(len(m))
-        sweeps = loop(work, vecs, linalg.REL_TOL, max_sweeps)
-        results.append((sweeps, work.tobytes(), vecs.tobytes()))
-    return results
+    """(sweeps, values bytes, vectors bytes) of ``m`` by the list loop and as a stack of one."""
+    n = len(m)
+    work, vecs = m.copy(), np.eye(n)
+    sweeps = linalg._kernel._cycle_lists(work, vecs, linalg.REL_TOL, max_sweeps)
+    lists = (sweeps, work.tobytes(), vecs.tobytes())
+    work, vecs = m.copy()[np.newaxis], np.eye(n)[np.newaxis]
+    sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, max_sweeps)
+    return [lists, (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes())]
 
 
 def ladder_block(nu):
@@ -324,19 +325,19 @@ def loop_inputs(draw):
 
 
 class TestInnerLoops:
-    """``_cycle_lists`` and ``_cycle_rows`` give the same bits on any input."""
+    """``_cycle_lists`` and ``jacobi_stack`` on a stack of one give the same bits on any input."""
 
     @settings(max_examples=100)
     @given(loop_inputs())
     def test_loops_agree(self, case):
         m, max_sweeps = case
-        lists, rows = solve_both_loops(m, max_sweeps)
-        assert lists == rows
+        lists, stacked = solve_both_loops(m, max_sweeps)
+        assert lists == stacked
 
     @pytest.mark.parametrize("nu", range(1, 13))
     def test_ladder_blocks_agree(self, nu):
-        lists, rows = solve_both_loops(ladder_block(nu))
-        assert lists == rows and lists[0] > 0
+        lists, stacked = solve_both_loops(ladder_block(nu))
+        assert lists == stacked and lists[0] > 0
 
     def test_validate_solves_no_single_matrix_above_4_rows(self, monkeypatch):
         # validate solves larger matrices as stacks, so the row boundary may move.
@@ -374,11 +375,51 @@ class TestAgainstLapack:
         assert np.all(np.abs(values - expected) <= 1e-12 * scale)
 
 
+class TestLiveCountSwitch:
+    """A stack that drops to one live member changes sweep body, not bits."""
+
+    def test_large_members_leaving_at_different_sweeps(self, monkeypatch):
+        # A 48-row ladder block (9 sweeps), a dense 48x48 (8) and a 24-row
+        # ladder block zero-padded to 48 (7): three live members, then two,
+        # then the ladder block alone for its last sweep.
+        members = [ladder_block(12), random_symmetric(random.Random(1048), 48).to_array(),
+                   ladder_block(6)]
+        stack = np.zeros((3, 48, 48))
+        for k, m in enumerate(members):
+            stack[k, : len(m), : len(m)] = m
+        work, vecs = stack.copy(), np.broadcast_to(np.eye(48), stack.shape).copy()
+        bodies = []
+
+        def recorded(body):
+            sweep = getattr(linalg._kernel, body)
+
+            def record(w, pairs):
+                bodies.append(body)
+                sweep(w, pairs)
+
+            return record
+
+        for body in ("_sweep_one", "_sweep_many"):
+            monkeypatch.setattr(linalg._kernel, body, recorded(body))
+        sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        monkeypatch.undo()
+        assert sweeps.tolist() == [9, 8, 7]
+        assert bodies == ["_sweep_many"] * 8 + ["_sweep_one"]
+        for k, m in enumerate(members):
+            n = len(m)
+            alone, alone_vecs = m.copy(), np.eye(n)
+            assert sweeps[k] == linalg._kernel.jacobi_cycle(
+                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
+            )
+            assert work[k, :n, :n].tobytes() == alone.tobytes()
+            assert vecs[k, :n, :n].tobytes() == alone_vecs.tobytes()
+
+
 def assert_every_path_agrees(a):
-    """Lists, rows and a stack of ``a`` with an identity solve ``a`` to the same bits."""
+    """Lists, a stack of one and a stack of ``a`` with an identity solve ``a`` to the same bits."""
     n = len(a)
-    lists, rows = solve_both_loops(a)
-    assert lists == rows and lists[0] > 0
+    lists, stacked = solve_both_loops(a)
+    assert lists == stacked and lists[0] > 0
     work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
     sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
     assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
@@ -570,7 +611,7 @@ class TestEigSymMany:
 
 class TestKernelChoice:
     @pytest.mark.parametrize(
-        "n, refused", [(ROWS_FROM_N - 1, "_cycle_rows"), (ROWS_FROM_N, "_cycle_lists")]
+        "n, refused", [(ROWS_FROM_N - 1, "jacobi_stack"), (ROWS_FROM_N, "_cycle_lists")]
     )
     def test_single_matrix_loop_by_size(self, monkeypatch, n, refused):
         def refuse(*args):

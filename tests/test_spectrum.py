@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jcpair.linalg import eig_sym, eigenvalue_multiset_equal
-from jcpair.sectors import build_hamiltonian, enumerate_sector
+from jcpair.sectors import build_hamiltonian, build_hamiltonian_stack, enumerate_sector
 from jcpair.spectrum import (
     BRANCHES,
     BranchLabel,
@@ -168,6 +168,32 @@ class TestArrayParameters:
             tracemalloc.stop()
         assert table.nbytes == buffer
         assert peak < 2.5 * buffer
+
+
+# Whole blocks over the same range: omega_c, omega_a and kappa signed, g >= 0.
+block_params = st.builds(SystemParams, values, values, values.map(abs), values)
+
+
+class TestExtremeMagnitudes:
+    @given(draws=st.lists(block_params, min_size=2, max_size=6))
+    def test_closed_forms_match_oracle(self, draws):
+        # Jacobi stops once the off-diagonal norm is at most 1e-13 * ||H||_F,
+        # which for a 4x4 is at most 4e-13 * max|H|, and by Weyl's inequality
+        # that bounds each eigenvalue's error; the tolerance leaves room for
+        # the rounding of the closed forms and of the rotations.
+        basis = enumerate_sector(1)
+        omega_c, omega_a, g, kappa, delta = (
+            np.array([getattr(p, name) for p in draws])
+            for name in ("omega_c", "omega_a", "g", "kappa", "delta")
+        )
+        closed = np.sort(energies(omega_c, delta, g, kappa), axis=1)
+        blocks = build_hamiltonian_stack(basis, omega_c, omega_a, g, kappa)
+        stacked = eig_sym(blocks).values  # the NumPy driver
+        for b, p in enumerate(draws):
+            single = eig_sym(build_hamiltonian(p, basis).matrix).values  # the list loop
+            tol = 1e-12 * np.max(np.abs(blocks[b]))
+            assert np.all(np.abs(single - closed[b]) <= tol)
+            assert np.all(np.abs(stacked[b] - closed[b]) <= tol)
 
 
 class TestPerturbative:

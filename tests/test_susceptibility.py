@@ -174,6 +174,31 @@ class TestSusceptibilityCurve:
         curve = susceptibility_curve(p, self.fig3_damping(), grid)
         assert np.max(np.abs(curve.im_chi - curve.im_chi[::-1])) <= 1e-12
 
+    def test_matches_resolvent_without_eigenvectors(self):
+        # chi(w) = sum over the atomic and photonic probe vectors d of
+        # d^T (H - w - i*gamma_a)^-1 d, solved by LAPACK on the -kappa block
+        # (see test_matches_numeric_eigensystem).  This shares no code with
+        # the closed forms or the Jacobi oracle, so it catches a flipped
+        # probe-weight convention that both would carry.
+        basis = enumerate_sector(1)
+        rng = random.Random(41)
+        for _ in range(50):
+            omega_c, g = rng.uniform(-3, 3), rng.uniform(0.2, 3.0)
+            p = SystemParams(omega_c, omega_c + rng.uniform(-4, 4), g, rng.uniform(-4, 4))
+            d = DampingParams(*(rng.uniform(0, 0.5) for _ in range(4)), rng.uniform(0.01, 0.3))
+            grid = np.linspace(omega_c - 12.0, omega_c + 12.0, 401)
+            flipped = SystemParams(p.omega_c, p.omega_a, p.g, -p.kappa)
+            h = build_hamiltonian(flipped, basis).matrix.to_array()
+            probes = np.array([
+                [math.sqrt(d.gamma1), 0.0, 0.0, math.sqrt(d.gamma2)],
+                [0.0, math.sqrt(d.gammac1), math.sqrt(d.gammac2), 0.0],
+            ]).T  # columns d_a, d_c
+            resolvent = h - (grid + 1j * d.gamma_a)[:, None, None] * np.eye(4)
+            solved = np.linalg.solve(resolvent, np.broadcast_to(probes, (grid.size, 4, 2)))
+            expected = np.einsum("ic,wic->w", probes, solved)
+            chi = susceptibility_curve(p, d, grid).chi
+            assert np.max(np.abs(chi - expected)) <= 1e-12 * np.max(np.abs(chi))
+
     def test_imaginary_part_nonnegative(self):
         rng = random.Random(17)
         for _ in range(20):
