@@ -1,38 +1,51 @@
 """Cyclic Jacobi sweeps: the rotation kernels behind ``linalg.eig_sym``.
 
-Two drivers run the same row-cyclic sweep.  ``_cycle_lists`` solves one
-matrix on nested Python lists copied from the input arrays.  ``jacobi_stack``
-solves a ``(B, n, n)`` stack with NumPy, keeping each member as the rows of
+Two rotation orders, in two solvers.  ``_cycle_lists`` solves one matrix on
+nested Python lists, in the row-cyclic order.  ``jacobi_stack`` solves a
+``(B, n, n)`` stack with NumPy, keeping each member as the rows of
 ``W = [A | V^T]``, so one update of rows p and q rotates A and V together.
-While two or more members are live, each rotation is one set of NumPy
-operations over the members; once one is left, its sweep runs pivot by pivot
-with Python-float angles and whole-row NumPy calls.  ``jacobi_cycle`` solves
-one matrix: below ``_ROWS_FROM_N`` rows with the list loop, from there up as
-a stack of one.  Both drivers copy their results back into the arrays they
-were given, and both give the same bits and sweep counts for the same matrix.
+It picks its sweep body from its input:
+
+* a stack of two or more, or one matrix below ``_ROWS_FROM_N`` rows, runs
+  ``_sweep_many``: the row-cyclic order, each rotation one set of NumPy
+  operations over the members, with ``_cycle_lists``' bits and sweep counts
+  for every member, however many are still live;
+* one matrix from ``_ROWS_FROM_N`` rows up runs ``_sweep_rounds``: the
+  round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
+  n/2 disjoint rotations at once, one set of NumPy operations per round.
+
+``jacobi_cycle`` solves one matrix: below ``_ROWS_FROM_N`` rows with the list
+loop, from there up as a stack of one.  So below the boundary a matrix gets
+the same bits alone and in any stack; from the boundary up, alone, it gets
+other bits, which pass the same checks.  Both solvers copy their results
+back into the arrays they were given.
 
 Each NumPy call costs a fixed time, so lists win for small single matrices
-and a stack of one for large ones.  Best-of-5 on a 2-vCPU Xeon VM: a dense
-48x48 takes about 110 ms as a stack of one against 240-260 ms as lists,
-lists lead by 20-30% at n = 16, and the two are within 10% at n = 20.
+and round-robin rounds for large ones.  Best-of-5 on a 2-vCPU Xeon VM: a
+dense 48x48 takes 30-40 ms in rounds against 160-230 ms on lists; the two
+are level at n = 16-17, and rounds lead by about a third at n = 18-20 and
+by half or more from n = 24.
 
-A member zero-padded to a larger size keeps its bits in ``jacobi_stack``:
+A member zero-padded to a larger size keeps its bits in ``_sweep_many``:
 its padded pivots are +0.0 and are skipped, and its own rotations write
 +0.0 into its padding.  ``linalg.eig_sym_many`` sorts such a stack by size,
 largest first, so the members that rotate at each pivot are a leading block,
-which ``jacobi_stack`` rotates in place; members in any other order are
+which ``_sweep_many`` rotates in place; members in any other order are
 gathered and scattered two rows at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 import numpy as np
 
-# Single matrices with at least this many rows run ``jacobi_stack``, measured
-# on dense and sector blocks at n = 16..32.
+# Single matrices with at least this many rows run ``jacobi_stack`` in the
+# round-robin order.  Measured on dense and sector blocks at n = 12..24,
+# rounds lead from n = 18; the boundary stays at 21, so single solves of
+# up to 20 rows keep the row-cyclic bits they share with stacks.
 _ROWS_FROM_N = 21
 
 # Sums of squares below this are zero or subnormal and have lost digits.
@@ -46,7 +59,9 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
     return the columns of ``v`` are eigenvectors and ``diag(a)`` holds the
     eigenvalues, unsorted.  Returns the number of sweeps performed, or -1
     if the off-diagonal Frobenius norm did not drop below
-    ``rel_tol * ||A||_F`` within ``max_sweeps`` sweeps.
+    ``rel_tol * ||A||_F`` within ``max_sweeps`` sweeps.  Below
+    ``_ROWS_FROM_N`` rows the sweeps take the row-cyclic order, from there up
+    the round-robin order.
     """
     if a.shape[0] < _ROWS_FROM_N:
         return _cycle_lists(a, v, rel_tol, max_sweeps)
@@ -162,11 +177,15 @@ def jacobi_stack(a, v, rel_tol: float, max_sweeps: int):
     ``v`` is a stack of identities that receives the rotations.  Returns an
     int64 array of B sweep counts, -1 for a member that hit ``max_sweeps``.
 
-    Bit-identity with ``_cycle_lists`` fixes the arithmetic: norms come from
-    ``_norms``, a member whose pivot is zero is not rotated at all (a
-    ``t = 0`` rotation can flip the sign of a zero), and rows p and q become
+    A stack of two or more, or one matrix below ``_ROWS_FROM_N`` rows, runs
+    ``_sweep_many`` on every sweep, whose bits equal ``_cycle_lists``': norms
+    come from ``_norms``, a member whose pivot is zero is not rotated at all
+    (a ``t = 0`` rotation can flip the sign of a zero), and rows p and q become
     ``c*w_p - s*w_q`` and ``s*w_p + c*w_q``, the list loop's values for A
-    (which stays exactly symmetric) and for V.  Overflow stays silent, as in
+    (which stays exactly symmetric) and for V.  One matrix from
+    ``_ROWS_FROM_N`` rows up runs ``_sweep_rounds`` instead, with the same
+    norms, stopping test and cap but the round-robin order, so its bits differ
+    from the same matrix's in a larger stack.  Overflow stays silent, as in
     Python float arithmetic.  A member is written back to ``a`` and ``v`` and
     leaves the stack once it has converged.
     """
@@ -174,8 +193,8 @@ def jacobi_stack(a, v, rel_tol: float, max_sweeps: int):
     sweeps = np.zeros(count, dtype=np.int64)
     if n < 2:
         return sweeps
+    sweep = _sweep_rounds if count == 1 and n >= _ROWS_FROM_N else _sweep_many
     rows, cols = np.triu_indices(n, 1)  # row-major, the list loop's order
-    pairs = list(zip(rows.tolist(), cols.tolist()))
     w = np.concatenate((a, v.transpose(0, 2, 1)), axis=2)
     live = np.arange(count)
     sweeps_done = 0
@@ -193,48 +212,20 @@ def jacobi_stack(a, v, rel_tol: float, max_sweeps: int):
                 live, w, thresh = live[keep], w[keep], thresh[keep]
                 if not live.size:
                     return sweeps
-            if live.size == 1:
-                _sweep_one(w[0], pairs)
-            else:
-                _sweep_many(w, pairs)
+            sweep(w)
             sweeps_done += 1
 
 
-def _sweep_one(w, pairs) -> None:
-    """One sweep of the single member whose rows are the (n, 2n) array ``w``.
-
-    Pivots are read with ``w.item`` and the angle is ``_angle``'s Python-float
-    arithmetic; each rotation is one pass over rows p and q, two column
-    writes that restore the symmetry of A, and four scalar sets that give the
-    pivot pair's exact diagonal entries and zeros.
-    """
-    n = w.shape[0]
-    sq = w[:, :n]
-    minus_s_s = np.empty((2, 1))
-    for p, q in pairs:
-        apq = w.item(p, q)
-        if apq == 0.0:
-            continue
-        app, aqq = w.item(p, p), w.item(q, q)
-        t, c, s = _angle(app, aqq, apq)
-        # Rows p and q become c*w_p - s*w_q and c*w_q + s*w_p: a + (-b)
-        # rounds as a - b.
-        pair = w[p : q + 1 : q - p]
-        minus_s_s[0, 0], minus_s_s[1, 0] = -s, s
-        rotated = c * pair
-        rotated += pair[::-1] * minus_s_s
-        pair[...] = rotated
-        sq[:, p] = sq[p]
-        sq[:, q] = sq[q]
-        shift = t * apq
-        w[p, p] = app - shift
-        w[q, q] = aqq + shift
-        w[p, q] = w[q, p] = 0.0
+@functools.lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The row-cyclic pivot order: (p, q) for p < q, row by row."""
+    rows, cols = np.triu_indices(n, 1)
+    return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-def _sweep_many(w, pairs) -> None:
-    """One sweep of every member of the (B, n, 2n) row stack ``w``."""
-    for p, q in pairs:
+def _sweep_many(w) -> None:
+    """One row-cyclic sweep of every member of the (B, n, 2n) row stack ``w``."""
+    for p, q in _pairs(w.shape[1]):
         nonzero = w[:, p, q] != 0.0
         k = np.count_nonzero(nonzero)
         if not k:
@@ -244,16 +235,21 @@ def _sweep_many(w, pairs) -> None:
         _rotate(w, slice(0, k) if nonzero[:k].all() else np.flatnonzero(nonzero), p, q)
 
 
+def _angles(app, aqq, apq):
+    """``_angle`` over arrays, with the same bits for every nonzero pivot."""
+    tau = (aqq - app) / (2.0 * apq)
+    # Equals both branches of _angle's root exactly; the sum is >= 1.
+    t = np.where(tau >= 0.0, 1.0, -1.0) * (1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    return t, c, t * c
+
+
 def _rotate(w, members, p, q) -> None:
     """One (p, q) rotation of the ``members`` of ``w``, all pivots nonzero."""
     n = w.shape[1]
     row_p, row_q = w[members, p], w[members, q]
     app, aqq, apq = row_p[:, p], row_q[:, q], row_p[:, q]
-    tau = (aqq - app) / (2.0 * apq)
-    # Equals both branches of _angle's root exactly; the sum is >= 1.
-    t = np.where(tau >= 0.0, 1.0, -1.0) * (1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
+    t, c, s = _angles(app, aqq, apq)
     shift = t * apq
     new_pp, new_qq = app - shift, aqq + shift
     c, s = c[:, None], s[:, None]
@@ -268,3 +264,82 @@ def _rotate(w, members, p, q) -> None:
     w[members, q, q] = new_qq
     w[members, p, q] = 0.0
     w[members, q, p] = 0.0
+
+
+@functools.lru_cache(maxsize=None)
+def _rounds(n: int) -> np.ndarray:
+    """The flat gather that ends each round of ``_sweep_rounds`` on n rows.
+
+    A round pairs slots 2k and 2k + 1 of the rows ``[A | V^T]``.  Between
+    rounds the indices move as in a round-robin tournament of ``n + n % 2``
+    players: the player in the last slot stays, and the others step once
+    around a circle.  Over ``n + n % 2 - 1`` rounds every two indices meet
+    once, and then each index is back in its own slot.  For an odd n the
+    player that stays is a missing index n, so the index in slot n - 1 is
+    idle.  The gather takes every entry of A from the upper triangle, which
+    also makes A exactly symmetric again.
+    """
+    size = n + n % 2
+    half = size // 2
+    # Circle position j sits in slot 2j in the first half, 2(size-1-j)+1 after,
+    # so positions j and size-1-j are paired, and position half is the last slot.
+    slot = [2 * j if j < half else 2 * (size - 1 - j) + 1 for j in range(size)]
+    circle = [j for j in range(size) if j != half]
+    src = np.arange(size)
+    for k, j in enumerate(circle):
+        src[slot[circle[(k + 1) % len(circle)]]] = slot[j]
+    src = src[:n]
+    lo, hi = np.minimum.outer(src, src), np.maximum.outer(src, src)
+    gather = np.concatenate((lo * 2 * n + hi, src[:, None] * 2 * n + np.arange(n, 2 * n)), axis=1)
+    gather.setflags(write=False)
+    return gather
+
+
+def _sweep_rounds(w) -> None:
+    """One round-robin sweep of the single member whose rows are the (1, n, 2n) ``w``.
+
+    Each round rotates every slot pair (2k, 2k + 1) whose pivot is nonzero at
+    once: the angles are ``_angles`` over the pairs, rows 2k and 2k + 1 of
+    ``[A | V^T]`` are updated, then columns 2k and 2k + 1 of A, and the pivot
+    blocks get their exact diagonal entries and zeros.  A pair whose pivot is
+    zero is not written.  ``_rounds``' gather then mirrors A and moves the
+    next round's pairs into place, in a second buffer.
+    """
+    n = w.shape[1]
+    gather = _rounds(n)
+    npairs = n // 2
+    step = 4 * n + 2  # from one pivot block to the next in the flat rows
+    stop = step * npairs
+    views = []
+    for rows in (w[0], np.empty_like(w[0])):
+        flat = rows.reshape(-1)
+        views.append((
+            rows, rows[0 : 2 * npairs : 2], rows[1 : 2 * npairs : 2],
+            rows[:, 0 : 2 * npairs : 2], rows[:, 1 : 2 * npairs : 2],
+            flat[0:stop:step], flat[2 * n + 1 : stop : step], flat[1:stop:step],
+        ))
+    # A zero pivot's angle is NaN or zero, and is never written.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(n + n % 2 - 1):
+            rows, row_p, row_q, col_p, col_q, app, aqq, apq = views[r % 2]
+            keep = apq != 0.0
+            kept = np.count_nonzero(keep)
+            if kept:
+                row_kept, col_kept = (True, True) if kept == npairs else (keep[:, None], keep)
+                t, c, s = _angles(app, aqq, apq)
+                shift = t * apq
+                new_pp, new_qq = app - shift, aqq + shift
+                _pair_update(row_p, row_q, c[:, None], s[:, None], row_kept)
+                _pair_update(col_p, col_q, c, s, col_kept)
+                np.copyto(app, new_pp, where=col_kept)
+                np.copyto(aqq, new_qq, where=col_kept)
+                np.copyto(apq, 0.0, where=col_kept)
+            np.take(rows.reshape(-1), gather, out=views[1 - r % 2][0], mode="clip")
+    w[0] = views[1][0]
+
+
+def _pair_update(x_p, x_q, c, s, where) -> None:
+    """``x_p, x_q = c*x_p - s*x_q, s*x_p + c*x_q``, written ``where`` given."""
+    cp, sq, sp, cq = c * x_p, s * x_q, s * x_p, c * x_q
+    np.subtract(cp, sq, out=x_p, where=where)
+    np.add(sp, cq, out=x_q, where=where)

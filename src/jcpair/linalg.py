@@ -4,18 +4,20 @@ This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
 every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
-``_jacobi_py`` fork, to two drivers with the same bits: one matrix runs
-``jacobi_cycle`` (Python lists below 21 rows, ``jacobi_stack`` on a stack of
-one from there up), and a stack of two or more runs ``jacobi_stack``, NumPy
-calls over all live members.  Those calls cost a fixed time each, so on a
-2-vCPU Xeon VM a dense 48x48 takes 0.11 s as a stack of one against 0.25 s
-as lists, while 1,000 4x4s take 10 ms as one stack against 230-290 ms one by
-one.
+``_jacobi_py`` fork.  One matrix runs ``jacobi_cycle``: Python lists below 21
+rows, and from there up round-robin rounds of NumPy calls.  A stack of two or
+more runs ``jacobi_stack`` in the row-cyclic order of the list loop, NumPy
+calls over all live members, with the list loop's bits.  So below 21 rows a
+matrix gets the same bits alone and in a stack; from 21 rows up, alone, it
+gets other bits that pass the same checks.  NumPy calls cost a fixed time
+each, so on a 2-vCPU Xeon VM a dense 48x48 takes 30-40 ms alone against
+160-230 ms as lists, while 1,000 4x4s take 10 ms as one stack against
+230-290 ms one by one.
 
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
 sorted by size, with each result equal to ``eig_sym`` of that matrix bit for
-bit; ``validate``'s 80 eigensolver-suite matrices (n = 1..16) per seed take
-about a third as long that way as one by one.
+bit below 21 rows; ``validate``'s 80 eigensolver-suite matrices (n = 1..16)
+per seed take about a third as long that way as one by one.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
@@ -28,6 +30,7 @@ eigenvalue multisets, never specific eigenvector entries.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,13 +124,17 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a symmetric matrix, or a stack, by cyclic Jacobi.
 
     A :class:`SymMatrix` or 2-D input is one matrix; a 3-D ``(B, n, n)``
-    array is a stack, symmetrized and checked member by member, and each
-    member's results equal those of solving it alone.
+    array is a stack, symmetrized and checked member by member.  A stack of
+    one is solved as that matrix alone.  In a larger stack, a member below
+    21 rows gets the bits of solving it alone; a member from 21 rows up takes
+    the row-cyclic order, while alone it takes the round-robin order, so its
+    bits differ and both pass the checks below.
 
     The returned decomposition is verified before it is handed back:
     ``||V^T V - I||_max <= 1e-12`` and
-    ``||A v_k - w_k v_k||_max <= 1e-10 * (1 + ||A||_max)`` for every k (and
-    every member).  A violation, NaN included (possible only for
+    ``||A v_k - w_k v_k||_max <= 1e-10 * max(||A||_max, tiny)`` for every k
+    (and every member), where ``tiny`` is the smallest normal float, so that
+    an all-subnormal matrix can pass.  A violation, NaN included (possible only for
     pathological input), raises :class:`ConvergenceError` rather than
     returning a bad oracle.
     """
@@ -143,9 +150,12 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
 
 
 def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem]:
-    """``[eig_sym(m) for m in matrices]``, bit for bit, solved as one stack.
+    """``[eig_sym(m) for m in matrices]``, solved as one stack.
 
-    The matrices may differ in size.  They are sorted by size, largest
+    Each result equals ``eig_sym(m)`` bit for bit when ``m`` has fewer than
+    21 rows or is the only matrix.  A larger matrix among others is swept in
+    the row-cyclic order, and alone in the round-robin order, so its bits
+    differ; both pass ``eig_sym``'s checks.  The matrices may differ in size.  They are sorted by size, largest
     first, and zero-padded into one ``(B, N, N)`` stack for the kernel call
     ``eig_sym`` makes.  Padding changes no bit: every pivot in a padded row
     or column is +0.0, so those rotations are skipped; a member's own
@@ -225,7 +235,8 @@ def _checked(sym, work, vecs, sweeps, members) -> EigenSystem:
 
     ortho = np.max(np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(n)), axis=(1, 2))
     resid = np.max(np.abs(sym @ vecs - vecs * vals[:, np.newaxis, :]), axis=(1, 2))
-    scale = 1.0 + np.max(np.abs(sym), axis=(1, 2))
+    # The floor lets an all-subnormal matrix pass; the bound scales with A.
+    scale = np.maximum(np.max(np.abs(sym), axis=(1, 2)), sys.float_info.min)
     bad = np.flatnonzero(~((ortho <= 1e-12) & (resid <= 1e-10 * scale)))
     if bad.size:
         k = bad[0]

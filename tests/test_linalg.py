@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +113,19 @@ class TestEigSym:
         with pytest.raises(linalg.ConvergenceError, match="residual nan"):
             eig_sym(SymMatrix(np.eye(3)))
 
+    @pytest.mark.parametrize("x", [1e-12, 1e-200])
+    def test_check_scales_with_tiny_entries(self, monkeypatch, x):
+        # A kernel that rotates nothing returns [0, 0] for eigenvalues +/-x;
+        # its residual x is small in absolute terms but not against ||A||_max.
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", lambda a, v, tol, cap: 0)
+        with pytest.raises(linalg.ConvergenceError, match="residual"):
+            eig_sym(SymMatrix([[0.0, x], [x, 0.0]]))
+
+    def test_subnormal_matrix_passes_the_check(self):
+        x = 5e-324
+        system = eig_sym(SymMatrix([[0.0, x], [x, 0.0]]))
+        assert system.values.tolist() == [-x, x]
+
     def test_zero_matrix(self):
         system = eig_sym(SymMatrix(np.zeros((5, 5))))
         assert np.array_equal(system.values, np.zeros(5))
@@ -163,6 +179,13 @@ PINNED = [
     (48, 8, "d4fa4edc3163e24638a93bf6719cbdb3d6a5e4a91b9d60f77a0654786b706d79"),
 ]
 
+# A single matrix from ROWS_FROM_N rows up takes the round-robin order, so
+# its pin differs from the row-cyclic one that the stacked test keeps.
+PINNED_SINGLE = [
+    *PINNED[:-1],
+    (48, 7, "46ddedda097367de723b78917a2ee47f55d1efb221f545cfa38e40f8813f1a29"),
+]
+
 
 class TestPinnedBits:
     """Bit-level regression gate for the Jacobi kernel.
@@ -172,7 +195,7 @@ class TestPinnedBits:
     reproduce them bit for bit.
     """
 
-    @pytest.mark.parametrize("n,sweeps,digest", PINNED)
+    @pytest.mark.parametrize("n,sweeps,digest", PINNED_SINGLE)
     def test_sweeps_and_output_bits(self, n, sweeps, digest):
         a = random_symmetric(random.Random(1000 + n), n)
         work, vecs = a.to_array(), np.eye(n)
@@ -292,12 +315,15 @@ ROWS_FROM_N = linalg._kernel._ROWS_FROM_N
 
 
 def solve_both_loops(m, max_sweeps=linalg.MAX_SWEEPS):
-    """(sweeps, values bytes, vectors bytes) of ``m`` by the list loop and as a stack of one."""
+    """(sweeps, values bytes, vectors bytes) of ``m`` by the list loop and in a stack of two.
+
+    The other member is a zero matrix, which leaves the stack at sweep 0.
+    """
     n = len(m)
     work, vecs = m.copy(), np.eye(n)
     sweeps = linalg._kernel._cycle_lists(work, vecs, linalg.REL_TOL, max_sweeps)
     lists = (sweeps, work.tobytes(), vecs.tobytes())
-    work, vecs = m.copy()[np.newaxis], np.eye(n)[np.newaxis]
+    work, vecs = np.stack([m, np.zeros((n, n))]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
     sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, max_sweeps)
     return [lists, (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes())]
 
@@ -325,7 +351,7 @@ def loop_inputs(draw):
 
 
 class TestInnerLoops:
-    """``_cycle_lists`` and ``jacobi_stack`` on a stack of one give the same bits on any input."""
+    """``_cycle_lists`` and ``jacobi_stack`` on a stack of two give the same bits on any input."""
 
     @settings(max_examples=100)
     @given(loop_inputs())
@@ -376,7 +402,7 @@ class TestAgainstLapack:
 
 
 class TestLiveCountSwitch:
-    """A stack that drops to one live member changes sweep body, not bits."""
+    """A stack that drops to one live member keeps its sweep body and its bits."""
 
     def test_large_members_leaving_at_different_sweeps(self, monkeypatch):
         # A 48-row ladder block (9 sweeps), a dense 48x48 (8) and a 24-row
@@ -393,36 +419,157 @@ class TestLiveCountSwitch:
         def recorded(body):
             sweep = getattr(linalg._kernel, body)
 
-            def record(w, pairs):
+            def record(w):
                 bodies.append(body)
-                sweep(w, pairs)
+                sweep(w)
 
             return record
 
-        for body in ("_sweep_one", "_sweep_many"):
+        for body in ("_sweep_rounds", "_sweep_many"):
             monkeypatch.setattr(linalg._kernel, body, recorded(body))
         sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
         monkeypatch.undo()
         assert sweeps.tolist() == [9, 8, 7]
-        assert bodies == ["_sweep_many"] * 8 + ["_sweep_one"]
+        assert bodies == ["_sweep_many"] * 9
         for k, m in enumerate(members):
             n = len(m)
             alone, alone_vecs = m.copy(), np.eye(n)
-            assert sweeps[k] == linalg._kernel.jacobi_cycle(
+            assert sweeps[k] == linalg._kernel._cycle_lists(
                 alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
             )
             assert work[k, :n, :n].tobytes() == alone.tobytes()
             assert vecs[k, :n, :n].tobytes() == alone_vecs.tobytes()
 
 
+@st.composite
+def round_robin_inputs(draw):
+    """A symmetric matrix with ROWS_FROM_N..64 rows and a sweep cap.
+
+    Zeros of both signs fill a drawn share of the entries, the blocks off a
+    block diagonal, or everything off the diagonal, so zero pivots occur,
+    some of them between equal diagonal entries (a 0/0 angle).
+    """
+    n = draw(st.integers(ROWS_FROM_N, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.uniform(-10.0, 10.0, (n, n))
+    pattern = draw(st.sampled_from(["dense", "sparse", "blocks", "diagonal"]))
+    if pattern == "sparse":
+        zero = rng.random((n, n)) < draw(st.sampled_from([0.5, 0.9, 0.98]))
+    elif pattern == "blocks":
+        block = np.cumsum(rng.random(n) < 0.2)
+        zero = block[:, None] != block[None, :]
+    else:
+        zero = ~np.eye(n, dtype=bool) if pattern == "diagonal" else np.zeros((n, n), dtype=bool)
+    m[zero] = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)[zero]
+    if draw(st.booleans()):
+        # Few distinct diagonal entries make zero pivots between equal ones.
+        np.fill_diagonal(m, rng.choice([-0.0, 0.0, 1.0], n))
+    m = np.where(np.triu(np.ones((n, n), dtype=bool)), m, m.T)
+    return m, draw(st.sampled_from([linalg.MAX_SWEEPS, 0, 1]))
+
+
+class TestRoundRobin:
+    """One matrix from ``ROWS_FROM_N`` rows up runs ``_sweep_rounds``."""
+
+    @settings(max_examples=100)
+    @given(round_robin_inputs())
+    def test_solves_any_input(self, case):
+        m, max_sweeps = case
+        n = len(m)
+        work, vecs = m.copy(), np.eye(n)
+        sweeps = linalg._kernel.jacobi_cycle(work, vecs, linalg.REL_TOL, max_sweeps)
+        assert np.isfinite(work).all() and np.isfinite(vecs).all()
+        assert work.tobytes() == work.T.tobytes()
+        if not np.count_nonzero(m - np.diag(np.diagonal(m))):
+            assert sweeps == 0
+            assert work.tobytes() == m.tobytes() and vecs.tobytes() == np.eye(n).tobytes()
+            return
+        if max_sweeps < linalg.MAX_SWEEPS:
+            assert sweeps == -1
+            return
+        assert sweeps > 0
+        system = eig_sym(m)  # raises unless both checks pass
+        assert system.sweeps == sweeps
+        expected = np.linalg.eigvalsh(m)
+        assert np.all(np.abs(system.values - expected) <= 1e-12 * np.max(np.abs(expected)))
+
+    @settings(max_examples=20)
+    @given(
+        nu=st.sampled_from([6, 12]),
+        exponent=st.floats(-150.0, 150.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_ladder_blocks_at_extreme_magnitudes(self, nu, exponent, sign):
+        m = ladder_block(nu) * (sign * 10.0**exponent)
+        system = eig_sym(m)
+        expected = np.linalg.eigvalsh(m)
+        assert np.all(np.abs(system.values - expected) <= 1e-12 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("nu", range(1, 13))
+    def test_ladder_sweeps_near_row_cyclic(self, nu):
+        m = ladder_block(nu)
+        row_cyclic = eig_sym(np.stack([m, np.zeros_like(m)])).sweeps[0]
+        assert 0 < eig_sym(m).sweeps <= row_cyclic + 1
+
+    def test_alone_and_stacked_agree(self):
+        m = ladder_block(12)
+        alone, stacked = eig_sym(m), eig_sym(np.stack([m, np.eye(48)]))
+        tol = 1e-12 * np.max(np.abs(alone.values))
+        assert np.all(np.abs(alone.values - stacked.values[0]) <= tol)
+        for ortho, resid in ((alone.orthogonality, alone.residual),
+                             (stacked.orthogonality[0], stacked.residual[0])):
+            assert ortho <= 1e-12 and resid <= 1e-10 * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("count, n, body", [
+        (1, ROWS_FROM_N, "_sweep_rounds"),
+        (1, ROWS_FROM_N - 1, "_sweep_many"),
+        (2, ROWS_FROM_N, "_sweep_many"),
+    ])
+    def test_body_chosen_from_the_input(self, monkeypatch, count, n, body):
+        bodies = set()
+        for name in ("_sweep_rounds", "_sweep_many"):
+            sweep = getattr(linalg._kernel, name)
+            monkeypatch.setattr(
+                linalg._kernel, name, lambda w, name=name, sweep=sweep: (bodies.add(name), sweep(w))
+            )
+        stack = np.stack([random_symmetric(random.Random(n + k), n).to_array() for k in range(count)])
+        vecs = np.broadcast_to(np.eye(n), stack.shape).copy()
+        sweeps = linalg._kernel.jacobi_stack(stack, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        assert np.all(sweeps > 0) and bodies == {body}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 21, 24, 47, 48])
+    def test_schedule_meets_every_pair_once(self, n):
+        gather = linalg._kernel._rounds(n)
+        assert gather.shape == (n, 2 * n) and not gather.flags.writeable
+        src = gather[:, n] // (2 * n)  # the slot each row is read from
+        layout, met = np.arange(n), set()
+        for _ in range(n + n % 2 - 1):
+            met.update(frozenset(layout[k : k + 2]) for k in range(0, n - 1, 2))
+            layout = layout[src]
+        assert layout.tolist() == list(range(n))
+        assert len(met) == n * (n - 1) // 2
+
+    def test_schedules_built_on_first_use(self):
+        code = "import jcpair; from jcpair import _jacobi_py as k; print(k._rounds.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "0", out.stderr
+
+
 def assert_every_path_agrees(a):
-    """Lists, a stack of one and a stack of ``a`` with an identity solve ``a`` to the same bits."""
+    """Lists and ``a`` stacked with a zero matrix or an identity solve ``a`` to the same bits.
+
+    ``eig_sym`` of ``a`` alone, which from ``ROWS_FROM_N`` rows takes the
+    round-robin order, is held to the same values within ``1e-12 * max|lambda|``.
+    """
     n = len(a)
     lists, stacked = solve_both_loops(a)
     assert lists == stacked and lists[0] > 0
     work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
     sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
     assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
+    values = np.sort(np.diagonal(work[0]))
+    assert np.all(np.abs(eig_sym(a).values - values) <= 1e-12 * np.max(np.abs(values)))
 
 
 class TestLargeEntries:
