@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _floatfmt
 from . import validate as validation
 from .config import ConfigError, RunConfig, config_dict, load_config
 from .eigenstates import amplitudes, branch_detuning, entanglement_deviation
@@ -36,20 +37,28 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-# Rows are formatted with one %-template per block of _BLOCK_ROWS rows, and
-# each block is written before the next is formatted, so the memory a data
-# file takes is one block's, whatever the row count.  No per-row object is
-# built, and no whole-text template, flattened cell tuple or growing buffer
-# is allocated: freed and reused by the heap, those made a process's peak
-# memory differ by tens of MB from one run of the same commands to the next.
-_BLOCK_ROWS = 1024
+# Rows are formatted and written one block of _BLOCK_ROWS rows at a time, so
+# the memory a data file takes is one block's, whatever the row count.  No
+# per-row object is built, and no whole-text template, flattened cell tuple
+# or growing buffer is allocated: freed and reused by the heap, those made a
+# process's peak memory differ by tens of MB from one run of the same
+# commands to the next.  Float64 array columns (all sweep data) go through
+# _floatfmt's NumPy repr kernel, whose temporaries take about 15 words per
+# cell: 512 rows keep a 5-column block near 0.6 MB, and NumPy's per-call
+# overhead makes much smaller blocks slow.  Other columns go through one
+# %-template per block.
+_BLOCK_ROWS = 512
 
 
-def _row_blocks(row: str, sep: str, columns: list) -> Iterator[str]:
-    """The rows of equal-length columns (arrays or lists), each formatted
-    with the %-template ``row`` and separated by ``sep``, one block of up
-    to ``_BLOCK_ROWS`` rows at a time."""
-    template = sep + row
+def _row_blocks(pieces: list[str], sep: str, columns: list) -> Iterator[str]:
+    """The rows of equal-length columns (arrays or lists), each cell's ``%s``
+    between the literal ``pieces`` (one more than there are columns) and
+    the rows separated by ``sep``, one block of up to ``_BLOCK_ROWS`` rows
+    at a time."""
+    if all(isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns):
+        yield from _floatfmt.row_blocks(pieces, sep, columns, _BLOCK_ROWS)
+        return
+    template = _literal(sep + pieces[0]) + "".join("%s" + _literal(piece) for piece in pieces[1:])
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         parts = [col[start : start + _BLOCK_ROWS] for col in columns]
         lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
@@ -60,10 +69,8 @@ def _row_blocks(row: str, sep: str, columns: list) -> Iterator[str]:
 def _csv_parts(header: list[str], columns: list) -> Iterator[str]:
     """The header line and data rows of a CSV file, in parts formatted as
     they are taken."""
-    # %s of a Python float is its shortest round-trip repr.
-    row = ",".join(["%s"] * len(header)) + "\n"
     yield ",".join(header) + "\n"
-    yield from _row_blocks(row, "", columns)
+    yield from _row_blocks([""] + [","] * (len(header) - 1) + ["\n"], "", columns)
 
 
 def _csv_text(header: list[str], columns: list) -> str:
@@ -75,14 +82,14 @@ def _json_parts(payload: dict, header: list[str] | None = None) -> Iterator[str]
     if header is None:
         yield json.dumps(payload, indent=2) + "\n"
         return
-    fields = ",\n".join(f"      {_literal(json.dumps(name))}: %r" for name in header)
-    row = "    {\n" + fields + "\n    }"
+    names = [f"      {json.dumps(name)}: " for name in header]
+    pieces = ["    {\n" + names[0]] + [",\n" + name for name in names[1:]] + ["\n    }"]
     yield "{"
     for i, (key, value) in enumerate(payload.items()):
         yield ("," if i else "") + f"\n  {json.dumps(key)}: "
         if key == "data":
             yield "[\n"
-            yield from _row_blocks(row, ",\n", value)
+            yield from _row_blocks(pieces, ",\n", value)
             yield "\n  ]"
         else:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -95,7 +102,7 @@ def _json_text(payload: dict, header: list[str] | None = None) -> str:
     With ``header`` (distinct names), ``payload["data"]`` holds nonempty
     equal-length columns and is written as the row objects
     ``dict(zip(header, row))`` would be: keys through ``json.dumps``, values
-    through ``%r``, the ``float.__repr__`` that the encoder uses.  The values
+    through ``float.__repr__``, as the encoder writes them.  The values
     must be finite numbers.
     """
     return "".join(_json_parts(payload, header))

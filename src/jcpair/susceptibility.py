@@ -136,12 +136,16 @@ def susceptibility_curve(
     """Complex susceptibility sampled over the probe grid.
 
     Pure per-point evaluation; the imaginary part is a sum of nonnegative
-    Lorentzians and is >= 0 everywhere.
+    Lorentzians and is >= 0 everywhere.  Raises ``ValueError`` when a line
+    center or rate overflows.
     """
     if d.gamma_a <= 0:
         raise ValueError(f"gamma_a must be > 0, got {d.gamma_a}")
     grid = _ascending_grid("probe", omega_p)
     table = transition_table(p, d)
+    # An infinite center would pass as a zero term: rate / inf = 0.
+    if not all(map(math.isfinite, [*table.rates.values(), *table.centers.values()])):
+        raise ValueError("susceptibility: a line center or rate is not finite")
     chi = np.zeros(grid.size, dtype=complex)
     for label in BRANCHES:
         rate = table.rates[label]

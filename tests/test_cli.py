@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import jcpair.cli
 import jcpair.config
 import jcpair.spectrum
-from jcpair.cli import _BLOCK_ROWS, _csv_parts, _csv_text, _json_parts, _json_text, _write_text, main
+from jcpair.cli import _BLOCK_ROWS, _csv_parts, _csv_text, _json_parts, _json_text, _row_blocks, _write_text, main
 
 
 def write(path, text):
@@ -278,10 +278,10 @@ class TestUsageErrors:
 class TestNonFiniteAndOversized:
     """Bad input ends with exit 2, one stderr line and no output file."""
 
-    def run(self, tmp_path, capsys, command, text):
+    def run(self, tmp_path, capsys, command, text, *options):
         cfg = write(tmp_path / "run.cfg", text)
         out = tmp_path / "out.csv"
-        code = main([command, "--config", cfg, "--out", str(out)])
+        code = main([command, "--config", cfg, "--out", str(out), *options])
         err = capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "out.csv.summary.json").exists()
         return code, err
@@ -343,6 +343,19 @@ class TestNonFiniteAndOversized:
         )
         assert code == 2
         assert err.count("\n") == 1 and "overflow" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_absorption_line_center_overflow(self, tmp_path, capsys, fmt):
+        # A per-cell config scaled by 2^520: the rates stay finite but the
+        # line centers overflow, and rate / inf = 0 wrote chi = 0 everywhere.
+        values = {
+            "omega_a": 0.3, "g": 1.0, "kappa": 0.2, "gamma1": 0.01, "gamma2": 0.2,
+            "gammac1": 0.2, "gammac2": 0.01, "gamma_a": 0.05, "sweep_start": -3.0, "sweep_stop": 3.0,
+        }
+        text = "".join(f"{key} = {value * 2.0**520!r}\n" for key, value in values.items())
+        code, err = self.run(tmp_path, capsys, "absorption", text + "sweep_count = 11\n", "--format", fmt)
+        assert code == 2
+        assert err.count("\n") == 1 and "not finite" in err
 
     def test_absorption_overflow_writes_nothing(self, tmp_path, capsys):
         # The grid hits the bright resonances at +/-1 exactly, where a
@@ -471,7 +484,14 @@ def reference_json_text(payload, header):
     return json.dumps({**payload, "data": data}, indent=2) + "\n"
 
 
-EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+# The first five are used by index below.  The rest broke, or nearly broke,
+# a Schubfach port to repr: the two Java rules that keep two digits, the
+# subnormal boundary, the positional/exponent boundaries, integers past 2^53.
+EDGE_FLOATS = [
+    -0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308,
+    0.0, 1e-323, 8e-323, 2.2250738585072014e-308, 1e-4, 9.999999999999999e-05,
+    9999999999999998.0, 2.0**53, 2.0**60, 123456789012345680.0,
+]
 finite_floats = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=4),
@@ -513,7 +533,27 @@ class TestRowTemplateWriters:
         payload = {"config": config, "data": columns, "summary": summary}
         assert _json_text(payload, header) == reference_json_text(payload, header)
 
-    @pytest.mark.parametrize("rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @example(values=EDGE_FLOATS)
+    def test_float64_columns_match_per_row_writers(self, values):
+        # Float64 arrays take the NumPy repr kernel.
+        header = ["x", "-x"]
+        columns = [np.array(values), -np.array(values)]
+        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        payload = {"config": None, "data": columns, "summary": None}
+        assert _json_text(payload, header) == reference_json_text(payload, header)
+
+    def test_array_and_list_columns_agree(self):
+        # Float64 arrays take the NumPy repr kernel, lists the %-template.
+        rng = np.random.default_rng(7)
+        column = np.concatenate([EDGE_FLOATS, rng.normal(size=_BLOCK_ROWS), rng.uniform(-1e-5, 1e20, 5)])
+        for pieces, sep in ((["", "\n"], ""), (['  {"%s": ', "}"], ",\n")):
+            kernel = "".join(_row_blocks(pieces, sep, [column]))
+            assert kernel == "".join(_row_blocks(pieces, sep, [column.tolist()]))
+
+    # A row short of a block, one block, one row more, then the same about
+    # two blocks, and four blocks and a row.
+    @pytest.mark.parametrize("rows", [b + d for b in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for d in (-1, 0, 1)] + [4 * _BLOCK_ROWS + 1])
     def test_rows_across_blocks(self, rows):
         rng = np.random.default_rng(rows)
         header = ["x", "y", "z"]
@@ -537,8 +577,9 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writing_peaks_below_an_eighth_of_the_file(self, tmp_path, monkeypatch, fmt):
-        # One 1,024-row block, with its lists of floats and its encoded copy,
-        # peaks at ~0.45 MB as CSV and ~0.8 MB as JSON, whatever the row count.
+        # One 512-row block, with the repr kernel's temporaries, its tables
+        # (about 0.13 MB, built on first use) and the block's encoded copy,
+        # peaks at ~0.59 MB as CSV and ~0.65 MB as JSON, whatever the row count.
         cfg = write(tmp_path / "run.cfg", "g = 1\nkappa = 0.7\nsweep_start = -8\nsweep_stop = 8\nsweep_count = 60001\n")
         out = tmp_path / f"out.{fmt}"
         require_finite = jcpair.cli._require_finite
