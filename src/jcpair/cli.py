@@ -37,30 +37,33 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-# Rows are formatted and written one block of _BLOCK_ROWS rows at a time, so
-# the memory a data file takes is one block's, whatever the row count.  No
-# per-row object is built, and no whole-text template, flattened cell tuple
-# or growing buffer is allocated: freed and reused by the heap, those made a
-# process's peak memory differ by tens of MB from one run of the same
-# commands to the next.  Float64 array columns (all sweep data) go through
-# _floatfmt's NumPy repr kernel, whose temporaries take about 15 words per
-# cell: 512 rows keep a 5-column block near 0.6 MB, and NumPy's per-call
-# overhead makes much smaller blocks slow.  Other columns go through one
-# %-template per block.
-_BLOCK_ROWS = 512
+# Rows are formatted and written one block at a time, so the memory a data
+# file takes is one block's, whatever the row count.  No per-row object is
+# built, and no whole-text template, flattened cell tuple or growing buffer
+# is allocated: freed and reused by the heap, those made a process's peak
+# memory differ by tens of MB from one run of the same commands to the next.
+# A block holds _BLOCK_CELLS cells, so a file with w columns takes
+# _BLOCK_CELLS // w rows at a time (at least one).  Float64 array columns
+# (all sweep data) go through _floatfmt's NumPy repr kernel, which needs
+# about 10 words per cell (14 with JSON's literals) and pays a fixed cost
+# per call, so the budget is as large as the memory test allows: a
+# 60,001-row spectrum CSV peaks at about 0.57 MB while it is written,
+# tables included.  Other columns go through one %-template per block.
+_BLOCK_CELLS = 5400
 
 
 def _row_blocks(pieces: list[str], sep: str, columns: list) -> Iterator[str]:
     """The rows of equal-length columns (arrays or lists), each cell's ``%s``
     between the literal ``pieces`` (one more than there are columns) and
-    the rows separated by ``sep``, one block of up to ``_BLOCK_ROWS`` rows
-    at a time."""
+    the rows separated by ``sep``, one block of up to ``_BLOCK_CELLS``
+    cells (whole rows, at least one) at a time."""
+    rows = max(1, _BLOCK_CELLS // len(columns))
     if all(isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns):
-        yield from _floatfmt.row_blocks(pieces, sep, columns, _BLOCK_ROWS)
+        yield from _floatfmt.row_blocks(pieces, sep, columns, rows)
         return
     template = _literal(sep + pieces[0]) + "".join("%s" + _literal(piece) for piece in pieces[1:])
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        parts = [col[start : start + _BLOCK_ROWS] for col in columns]
+    for start in range(0, len(columns[0]), rows):
+        parts = [col[start : start + rows] for col in columns]
         lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
         block = template * len(lists[0]) % tuple(chain.from_iterable(zip(*lists)))
         yield block[len(sep) :] if start == 0 else block

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import jcpair.cli
 import jcpair.config
 import jcpair.spectrum
-from jcpair.cli import _BLOCK_ROWS, _csv_parts, _csv_text, _json_parts, _json_text, _row_blocks, _write_text, main
+from jcpair.cli import _BLOCK_CELLS, _csv_parts, _csv_text, _json_parts, _json_text, _row_blocks, _write_text, main
 
 
 def write(path, text):
@@ -546,18 +546,25 @@ class TestRowTemplateWriters:
     def test_array_and_list_columns_agree(self):
         # Float64 arrays take the NumPy repr kernel, lists the %-template.
         rng = np.random.default_rng(7)
-        column = np.concatenate([EDGE_FLOATS, rng.normal(size=_BLOCK_ROWS), rng.uniform(-1e-5, 1e20, 5)])
+        column = np.concatenate([EDGE_FLOATS, rng.normal(size=_BLOCK_CELLS), rng.uniform(-1e-5, 1e20, 5)])
         for pieces, sep in ((["", "\n"], ""), (['  {"%s": ', "}"], ",\n")):
             kernel = "".join(_row_blocks(pieces, sep, [column]))
             assert kernel == "".join(_row_blocks(pieces, sep, [column.tolist()]))
 
-    # A row short of a block, one block, one row more, then the same about
-    # two blocks, and four blocks and a row.
-    @pytest.mark.parametrize("rows", [b + d for b in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for d in (-1, 0, 1)] + [4 * _BLOCK_ROWS + 1])
-    def test_rows_across_blocks(self, rows):
+    # A block holds _BLOCK_CELLS // width rows.  A row short of a block, one
+    # block, one row more, then the same about two blocks, and four blocks
+    # and a row, for the 3 columns of absorption and the 5 of spectrum.
+    @pytest.mark.parametrize(
+        "width, blocks, extra",
+        [pytest.param(w, b, d, id=f"{w}cols-{b}blocks{d:+d}") for w in (3, 5) for b, d in [(1, -1), (1, 0), (1, 1), (2, -1), (2, 0), (2, 1), (4, 1)]],
+    )
+    def test_rows_across_blocks(self, width, blocks, extra):
+        rows = blocks * (_BLOCK_CELLS // width) + extra
         rng = np.random.default_rng(rows)
-        header = ["x", "y", "z"]
-        columns = [rng.normal(size=rows), rng.uniform(-1e300, 1e300, size=rows), np.arange(rows) * 0.1]
+        header = ["x", "y", "z", "u", "v"][:width]
+        # Zeros, which the kernel leaves to repr, at every 1,000th row.
+        columns = [rng.normal(size=rows), rng.uniform(-1e300, 1e300, size=rows), np.arange(rows) % 1000 * 0.1]
+        columns += [rng.uniform(-1e-5, 1e20, size=rows), -rng.normal(size=rows)][: width - 3]
         assert _csv_text(header, columns) == reference_csv_text(header, columns)
         payload = {"config": {"n": rows}, "data": columns, "summary": None}
         assert _json_text(payload, header) == reference_json_text(payload, header)
@@ -599,10 +606,44 @@ class TestStreamedOutput:
             tracemalloc.stop()
         assert peak - before_write[-1] < out.stat().st_size / 8
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_absorption_writing_peak_does_not_grow_with_the_count(self, tmp_path, monkeypatch, fmt):
+        # The same blocks at 60,001 and 240,001 rows; a first run builds the
+        # kernel's tables, so neither measured run pays for them.
+        require_finite = jcpair.cli._require_finite
+        before_write = []
+
+        def require_finite_then_reset_peak(*args):
+            require_finite(*args)
+            tracemalloc.reset_peak()
+            before_write.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(jcpair.cli, "_require_finite", require_finite_then_reset_peak)
+        peaks = []
+        for count in (2001, 60001, 240001):
+            cfg = write(tmp_path / "run.cfg", ABSORPTION_CFG.replace("2001", str(count)))
+            tracemalloc.start()
+            try:
+                assert main(["absorption", "--config", cfg, "--out", str(tmp_path / f"out.{fmt}"), "--format", fmt]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - before_write[-1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2] - peaks[1]) <= 0.1 * peaks[1]
+
+    @pytest.mark.parametrize("width", [1, 3, 5])
+    def test_blocks_hold_the_cell_budget(self, width):
+        # The kernel (float64 arrays) and the %-template (lists) both take
+        # _BLOCK_CELLS // width rows at a time.
+        rows = _BLOCK_CELLS // width
+        column = np.arange(2 * rows + 1) * 0.5
+        pieces = [""] + [","] * (width - 1) + ["\n"]
+        for columns in ([column] * width, [column.tolist()] * width):
+            assert [part.count("\n") for part in _row_blocks(pieces, "", columns)] == [rows, rows, 1]
+
     def test_parts_are_formatted_as_taken(self):
-        column = [0.5] * _BLOCK_ROWS + [Unformattable()]
+        column = [0.5] * _BLOCK_CELLS + [Unformattable()]
         csv_parts = _csv_parts(["x"], [column])
-        assert [next(csv_parts), next(csv_parts)] == ["x\n", "0.5\n" * _BLOCK_ROWS]
+        assert [next(csv_parts), next(csv_parts)] == ["x\n", "0.5\n" * _BLOCK_CELLS]
         with pytest.raises(LookupError):
             next(csv_parts)
         json_parts = _json_parts({"data": [column]}, ["x"])
@@ -612,7 +653,8 @@ class TestStreamedOutput:
 
 
 def fail_second_block(monkeypatch):
-    """Make each data file's second block of 8 rows fail to format."""
+    """Make each data file's second block fail to format: 8 rows of a
+    spectrum's 5 columns, 13 of absorption's 3."""
     row_blocks = jcpair.cli._row_blocks
 
     def first_block_only(*args):
@@ -620,7 +662,7 @@ def fail_second_block(monkeypatch):
         yield next(blocks)
         raise MemoryError("formatting the second block")
 
-    monkeypatch.setattr(jcpair.cli, "_BLOCK_ROWS", 8)
+    monkeypatch.setattr(jcpair.cli, "_BLOCK_CELLS", 40)
     monkeypatch.setattr(jcpair.cli, "_row_blocks", first_block_only)
 
 
