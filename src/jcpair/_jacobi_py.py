@@ -21,10 +21,10 @@ other bits, which pass the same checks.  Both solvers copy their results
 back into the arrays they were given.
 
 Each NumPy call costs a fixed time, so lists win for small single matrices
-and round-robin rounds for large ones.  Best-of-5 on a 2-vCPU Xeon VM: a
-dense 48x48 takes 30-40 ms in rounds against 160-230 ms on lists; the two
-are level at n = 16-17, and rounds lead by about a third at n = 18-20 and
-by half or more from n = 24.
+and round-robin rounds for large ones.  Best of 5 to 7 runs on a 2-vCPU
+Xeon VM: a dense 48x48 takes 30-40 ms in rounds against 160-230 ms on
+lists; the two are level at n = 14, and rounds lead by about a quarter at
+n = 17, by about 40% at n = 18-19 and by 45% or more from n = 20.
 
 A member zero-padded to a larger size keeps its bits in ``_sweep_many``:
 its padded pivots are +0.0 and are skipped, and its own rotations write
@@ -43,10 +43,13 @@ import sys
 import numpy as np
 
 # Single matrices with at least this many rows run ``jacobi_stack`` in the
-# round-robin order.  Measured on dense and sector blocks at n = 12..24,
-# rounds lead from n = 18; the boundary stays at 21, so single solves of
-# up to 20 rows keep the row-cyclic bits they share with stacks.
-_ROWS_FROM_N = 21
+# round-robin order.  On dense matrices, best of 7 on a 2-vCPU Xeon VM, rounds
+# take 0.93x the lists' time at 15 rows, 0.88x at 16, 0.77x at 17 (3.5 ms
+# against 4.6 ms) and 0.54x at 20.  17 is the lowest boundary that keeps the
+# 16-row single solves on lists with the bits they share with stacks.  The
+# even and odd halves of the sectors nu = 8..12 have 15-25 rows, so all but
+# one of them are on this side.
+_ROWS_FROM_N = 17
 
 # Sums of squares below this are zero or subnormal and have lost digits.
 _TINY = sys.float_info.min

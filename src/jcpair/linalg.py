@@ -4,20 +4,30 @@ This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
 every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
-``_jacobi_py`` fork.  One matrix runs ``jacobi_cycle``: Python lists below 21
+``_jacobi_py`` fork.  One matrix runs ``jacobi_cycle``: Python lists below 17
 rows, and from there up round-robin rounds of NumPy calls.  A stack of two or
 more runs ``jacobi_stack`` in the row-cyclic order of the list loop, NumPy
-calls over all live members, with the list loop's bits.  So below 21 rows a
-matrix gets the same bits alone and in a stack; from 21 rows up, alone, it
+calls over all live members, with the list loop's bits.  So below 17 rows a
+matrix gets the same bits alone and in a stack; from 17 rows up, alone, it
 gets other bits that pass the same checks.  NumPy calls cost a fixed time
 each, so on a 2-vCPU Xeon VM a dense 48x48 takes 30-40 ms alone against
 160-230 ms as lists, while 1,000 4x4s take 10 ms as one stack against
 230-290 ms one by one.
 
+A :class:`SymMatrix` may carry a ``swap``: an involutive permutation of its
+rows that leaves its entries unchanged, such as the exchange of two
+identical cells that ``sectors.build_hamiltonian`` attaches to a sector
+block.  ``eig_sym`` of one such matrix solves its even and odd halves under
+that exchange, two blocks of about n/2 rows, in place of the whole matrix
+(Cantoni & Butler, Linear Algebra Appl. 13, 1976), and checks the
+reassembled vectors against the whole matrix.  Jacobi's cost grows as n^3,
+so each half costs about an eighth of the whole.  Stacks ignore ``swap``.
+
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
-sorted by size, with each result equal to ``eig_sym`` of that matrix bit for
-bit below 21 rows; ``validate``'s 80 eigensolver-suite matrices (n = 1..16)
-per seed take about a third as long that way as one by one.
+sorted by size, with each result equal to ``eig_sym`` of that matrix's
+entries bit for bit below 17 rows; ``validate``'s 80 eigensolver-suite
+matrices (n = 1..16) per seed take about a third as long that way as one by
+one.
 
 Convergence contract: sweeps stop once the off-diagonal Frobenius norm is
 below ``1e-13 * ||A||_F``, with a hard cap of 100 sweeps (Jacobi converges
@@ -30,6 +40,7 @@ eigenvalue multisets, never specific eigenvector entries.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -71,23 +82,50 @@ def _symmetrized(entries, ndim: int) -> np.ndarray:
     return sym
 
 
+def _involution(sym: np.ndarray, swap) -> np.ndarray:
+    """``swap`` as a read-only index array, checked against the (n, n) ``sym``."""
+    n = len(sym)
+    s = np.asarray(swap)
+    if s.shape != (n,) or s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= n:
+        raise ValueError(f"swap must be {n} integer row indices in range({n})")
+    s = s.astype(np.intp)
+    if not (s[s] == np.arange(n)).all():
+        raise ValueError("swap must be a permutation that is its own inverse")
+    # Bit for bit, so the even and odd halves are exact.
+    if sym[s][:, s].tobytes() != sym.tobytes():
+        raise ValueError("matrix entries must be unchanged under swap")
+    s.setflags(write=False)
+    return s
+
+
 class SymMatrix:
     """Dense real symmetric matrix.
 
     Construction symmetrizes the input as ``(A + A^T) / 2``, which leaves an
     already-symmetric matrix bit-identical and otherwise enforces exact
     symmetry.  Entries and their symmetrization must be finite.
+
+    ``swap``, if given, is an involutive permutation of the rows that the
+    symmetrized entries satisfy bit for bit, ``m[swap][:, swap] == m``;
+    ``eig_sym`` then solves the matrix as its even and odd halves under it.
+    Anything else raises ``ValueError``.
     """
 
-    __slots__ = ("_m",)
+    __slots__ = ("_m", "_swap")
 
-    def __init__(self, entries) -> None:
+    def __init__(self, entries, swap=None) -> None:
         self._m = _symmetrized(entries, 2)
         self._m.setflags(write=False)
+        self._swap = None if swap is None else _involution(self._m, swap)
 
     @property
     def n(self) -> int:
         return self._m.shape[0]
+
+    @property
+    def swap(self) -> np.ndarray | None:
+        """The read-only row permutation the entries are invariant under, or None."""
+        return self._swap
 
     def to_array(self) -> np.ndarray:
         """Writable C-contiguous copy of the entries."""
@@ -111,6 +149,8 @@ class EigenSystem:
     (``||A V - V diag(w)||_max``) are the figures ``eig_sym`` checked.  For
     a stack, ``values`` is (B, n), ``vectors`` (B, n, n) and the other
     fields (B,) arrays; for one matrix ``sweeps`` is an int, the rest floats.
+    A matrix solved as its even and odd halves reports the larger of the two
+    halves' sweep counts as ``sweeps``.
     """
 
     values: np.ndarray
@@ -126,9 +166,13 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     A :class:`SymMatrix` or 2-D input is one matrix; a 3-D ``(B, n, n)``
     array is a stack, symmetrized and checked member by member.  A stack of
     one is solved as that matrix alone.  In a larger stack, a member below
-    21 rows gets the bits of solving it alone; a member from 21 rows up takes
+    17 rows gets the bits of solving it alone; a member from 17 rows up takes
     the row-cyclic order, while alone it takes the round-robin order, so its
     bits differ and both pass the checks below.
+
+    A :class:`SymMatrix` with a ``swap`` that moves at least one row is
+    solved as its even and odd halves (see :func:`_parity_sweep`), and
+    checked whole.  Stacks ignore ``swap``.
 
     The returned decomposition is verified before it is handed back:
     ``||V^T V - I||_max <= 1e-12`` and
@@ -140,28 +184,78 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     """
     if not isinstance(a, SymMatrix) and np.ndim(a) != 3:
         a = SymMatrix(a)
-    single = isinstance(a, SymMatrix)
-    sym = a._m[np.newaxis] if single else _symmetrized(a, 3)
-    work, vecs, sweeps = _sweep(sym)
-    system = _checked(sym, work, vecs, sweeps, None if single else np.arange(len(sym)))
-    if single:
-        return _member(system, 0)
-    return system
+    if not isinstance(a, SymMatrix):
+        sym = _symmetrized(a, 3)
+        return _checked(sym, *_sweep(sym), np.arange(len(sym)))
+    sym = a._m[np.newaxis]
+    solved = _sweep(sym) if a._swap is None else _parity_sweep(a._m, a._swap)
+    return _member(_checked(sym, *solved, None), 0)
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _parity_sweep(m: np.ndarray, swap: np.ndarray):
+    """``_sweep`` of the (n, n) ``m`` as its two halves under the exchange ``swap``.
+
+    With pairs ``(i, j = swap[i])``, ``i < j``, their first members I, their
+    partners J and the fixed points F, the even half is
+    ``[[A[I,I] + A[I,J], sqrt2*A[I,F]], [sqrt2*A[F,I], A[F,F]]]`` and the odd
+    half ``A[I,I] - A[I,J]``; ``m``'s invariance under ``swap`` makes both
+    exactly symmetric.  Each is swept by ``_sweep``, and the vectors are put
+    back as ``v[I] = v[J] = x/sqrt2, v[F] = x_F`` (even) and
+    ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is exactly even
+    or odd under ``swap``.  The sweep count is the larger of the two, or -1
+    if either half hit the cap.  A ``swap`` without a pair leaves ``m`` whole.
+
+    No entry of a :class:`SymMatrix` exceeds half the largest float, since
+    ``A + A^T`` is finite, so neither the sums nor the ``sqrt2`` products
+    can overflow.
+    """
+    n = len(m)
+    rows = np.arange(n)
+    first = np.flatnonzero(swap > rows)
+    k = len(first)
+    if not k:
+        return _sweep(m[np.newaxis])
+    size = n - k
+    # Rows and columns in the order I, F, J, so each block is a slice.
+    order = np.concatenate((first, np.flatnonzero(swap == rows), swap[first]))
+    g = m[order][:, order]
+    even = g[:size, :size].copy()
+    even[:k, :k] += g[:k, size:]
+    even[:k, k:] *= _SQRT2
+    even[k:, :k] *= _SQRT2
+    even_vals, x, even_sweeps = _sweep(even[np.newaxis])
+    odd_vals, y, odd_sweeps = _sweep((g[:k, :k] - g[:k, size:])[np.newaxis])
+    x, y = x[0], y[0]
+    half_x, half_y = x[:k] / _SQRT2, y / _SQRT2
+    v = np.zeros((n, n))
+    v[k:size, :size] = x[k:]
+    v[:k, :size] = v[size:, :size] = half_x
+    v[:k, size:] = half_y
+    v[size:, size:] = -half_y
+    vecs = np.empty((1, n, n))
+    vecs[0, order] = v
+    capped = even_sweeps[0] < 0 or odd_sweeps[0] < 0
+    sweeps = np.array([-1 if capped else max(even_sweeps[0], odd_sweeps[0])])
+    return np.concatenate((even_vals, odd_vals), axis=1), vecs, sweeps
 
 
 def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem]:
     """``[eig_sym(m) for m in matrices]``, solved as one stack.
 
-    Each result equals ``eig_sym(m)`` bit for bit when ``m`` has fewer than
-    21 rows or is the only matrix.  A larger matrix among others is swept in
-    the row-cyclic order, and alone in the round-robin order, so its bits
-    differ; both pass ``eig_sym``'s checks.  The matrices may differ in size.  They are sorted by size, largest
-    first, and zero-padded into one ``(B, N, N)`` stack for the kernel call
-    ``eig_sym`` makes.  Padding changes no bit: every pivot in a padded row
-    or column is +0.0, so those rotations are skipped; a member's own
-    rotations write ``c*0 - s*0 = +0.0`` (``c > 0``) into its padded
-    entries; and its norms only add +0.0 to nonnegative running sums.  Each
-    member is then sorted and checked unpadded, with the members of its
+    Each result equals ``eig_sym`` of ``m``'s entries bit for bit when ``m``
+    has fewer than 17 rows or is the only matrix; a ``swap`` is ignored, as
+    in any stack.  A larger matrix among others is swept in the row-cyclic
+    order, and alone in the round-robin order, so its bits differ; both pass
+    ``eig_sym``'s checks.  The matrices may differ in size.  They are sorted
+    by size, largest first, and zero-padded into one ``(B, N, N)`` stack for
+    the kernel call ``eig_sym`` makes.  Padding changes no bit: every pivot
+    in a padded row or column is +0.0, so those rotations are skipped; a
+    member's own rotations write ``c*0 - s*0 = +0.0`` (``c > 0``) into its
+    padded entries; and its norms only add +0.0 to nonnegative running sums.
+    Each member is then sorted and checked unpadded, with the members of its
     size, by the code ``eig_sym`` runs.  An error names the input index of
     the member that caused it.
     """
@@ -181,7 +275,7 @@ def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem
     for row, index in enumerate(order):
         n = len(syms[index])
         padded[row, :n, :n] = syms[index]
-    work, vecs, sweeps = _sweep(padded)
+    vals, vecs, sweeps = _sweep(padded)
 
     results: list[EigenSystem | None] = [None] * len(syms)
     start = 0
@@ -190,7 +284,7 @@ def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem
         stop = start + len(members)
         system = _checked(
             np.stack([syms[index] for index in members]),
-            work[start:stop, :n, :n],
+            vals[start:stop, :n],
             vecs[start:stop, :n, :n],
             sweeps[start:stop],
             members,
@@ -204,7 +298,8 @@ def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem
 def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel call: Jacobi sweeps on a copy of the (B, n, n) stack ``sym``.
 
-    Returns the swept matrices, the accumulated rotations and B sweep counts.
+    Returns the (B, n) diagonals of the swept matrices (the unsorted
+    eigenvalues), the accumulated rotations and B sweep counts.
     """
     count, n = sym.shape[0], sym.shape[1]
     work = sym.copy()
@@ -214,10 +309,10 @@ def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
         sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
-    return work, vecs, sweeps
+    return np.diagonal(work, axis1=1, axis2=2), vecs, sweeps
 
 
-def _checked(sym, work, vecs, sweeps, members) -> EigenSystem:
+def _checked(sym, vals, vecs, sweeps, members) -> EigenSystem:
     """Sort, check and freeze ``_sweep``'s output for the (B, n, n) stack ``sym``.
 
     ``members`` holds the index each member is named by in an error, or is
@@ -228,7 +323,6 @@ def _checked(sym, work, vecs, sweeps, members) -> EigenSystem:
         member = "" if members is None else f"member {members[np.flatnonzero(sweeps < 0)[0]]}, "
         raise ConvergenceError(f"no convergence within {MAX_SWEEPS} sweeps ({member}n={n})")
 
-    vals = np.diagonal(work, axis1=1, axis2=2)
     order = np.argsort(vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, np.newaxis, :], axis=2)

@@ -25,6 +25,14 @@ sector at ``-delta`` and the one-excitation block at the matrix
 ``[[0, g, 0, 0], [g, -d, -k, 0], [0, -k, -d, g], [0, 0, g, 0]] + omega_c*I``
 (``d = delta``, ``k = kappa``).  Absolute offsets cancel in all transition
 frequencies.
+
+The two cells are identical, so every block commutes with their exchange,
+``|n1 c1 n2 c2> -> |n2 c2 n1 c1>``.  :func:`build_hamiltonian` attaches that
+permutation of the basis to its matrix as the ``swap`` of
+:class:`jcpair.linalg.SymMatrix`, and ``eig_sym`` then solves the block as
+its even and odd halves under the exchange, which in the one-excitation
+sector are the ``eps = +1`` and ``eps = -1`` collective modes.  Stacks carry
+no swap and are solved whole.
 """
 
 from __future__ import annotations
@@ -265,10 +273,29 @@ def build_hamiltonian_stack(basis: SectorBasis, omega_c, omega_a, g, kappa) -> n
 def build_hamiltonian(p: SystemParams, basis: SectorBasis) -> SectorMatrix:
     """Assemble the Hamiltonian block of ``basis`` as a dense symmetric matrix.
 
-    This is the B = 1 case of :func:`build_hamiltonian_stack`.
+    This is the B = 1 case of :func:`build_hamiltonian_stack`.  The matrix
+    carries the exchange of the two cells as its ``swap`` when every state's
+    mirror is in ``basis``, so ``eig_sym`` solves it as its even and odd
+    halves.
     """
     m = build_hamiltonian_stack(basis, p.omega_c, p.omega_a, p.g, p.kappa)[0]
-    return SectorMatrix(basis=basis, matrix=SymMatrix(m))
+    return SectorMatrix(basis=basis, matrix=SymMatrix(m, swap=_swap(basis.states)))
+
+
+@lru_cache(maxsize=64)
+def _swap(states: tuple[BasisState, ...]) -> np.ndarray | None:
+    """The index of each state's mirror ``|n2 c2 n1 c1>``, or None if one is missing.
+
+    The cells are identical, so the block commutes with this exchange: the
+    terms of a state and of its mirror are equal, entry for entry.
+    """
+    index = {s: i for i, s in enumerate(states)}
+    mirrors = [index.get(BasisState(s.n2, s.c2, s.n1, s.c1)) for s in states]
+    if None in mirrors or len(index) != len(states):
+        return None
+    swap = np.array(mirrors)
+    swap.setflags(write=False)
+    return swap
 
 
 def build_collective_stack(omega_c, omega_a, g, kappa) -> np.ndarray:

@@ -584,9 +584,10 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writing_peaks_below_an_eighth_of_the_file(self, tmp_path, monkeypatch, fmt):
-        # One 512-row block, with the repr kernel's temporaries, its tables
-        # (about 0.13 MB, built on first use) and the block's encoded copy,
-        # peaks at ~0.59 MB as CSV and ~0.65 MB as JSON, whatever the row count.
+        # One block of _BLOCK_CELLS cells (1,080 rows of 5), with the repr
+        # kernel's temporaries, its tables (about 0.13 MB, built here) and the
+        # block's encoded copy, peaks at ~0.57 MB as CSV and ~0.75 MB as JSON,
+        # whatever the row count and whatever ran before.
         cfg = write(tmp_path / "run.cfg", "g = 1\nkappa = 0.7\nsweep_start = -8\nsweep_stop = 8\nsweep_count = 60001\n")
         out = tmp_path / f"out.{fmt}"
         require_finite = jcpair.cli._require_finite
@@ -598,6 +599,8 @@ class TestStreamedOutput:
             before_write.append(tracemalloc.get_traced_memory()[0])
 
         monkeypatch.setattr(jcpair.cli, "_require_finite", require_finite_then_reset_peak)
+        # The tables count whatever ran before, as in a fresh process.
+        jcpair._floatfmt._tables.cache_clear()
         tracemalloc.start()
         try:
             assert main(["spectrum", "--config", cfg, "--out", str(out), "--format", fmt]) == 0

@@ -524,6 +524,8 @@ class TestRoundRobin:
         (1, ROWS_FROM_N, "_sweep_rounds"),
         (1, ROWS_FROM_N - 1, "_sweep_many"),
         (2, ROWS_FROM_N, "_sweep_many"),
+        (1, 21, "_sweep_rounds"),  # odd, so each round leaves one row out
+        (2, 21, "_sweep_many"),
     ])
     def test_body_chosen_from_the_input(self, monkeypatch, count, n, body):
         bodies = set()
@@ -589,7 +591,7 @@ class TestLargeEntries:
         stacked = eig_sym(np.stack([a, np.eye(16)]))
         assert np.max(np.abs(stacked.values[0] - expected)) <= tol
 
-    @pytest.mark.parametrize("n", [2, ROWS_FROM_N])
+    @pytest.mark.parametrize("n", sorted({2, ROWS_FROM_N, 21}))
     def test_every_path_agrees(self, n):
         assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e300)
 
@@ -633,7 +635,7 @@ class TestTinyEntries:
         assert scaled.values.tobytes() == (plain.values * 2.0**exponent).tobytes()
         assert scaled.vectors.tobytes() == plain.vectors.tobytes()
 
-    @pytest.mark.parametrize("n", [2, ROWS_FROM_N])
+    @pytest.mark.parametrize("n", sorted({2, ROWS_FROM_N, 21}))
     def test_every_path_agrees(self, n):
         assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e-300)
 
@@ -688,6 +690,137 @@ def mixed_sizes(draw):
         m = draw(arrays(np.float64, (n, n), elements=stack_entries))
         matrices.append(0.5 * (m + m.T))
     return matrices
+
+
+def swap_invariant(seed, n, pairs):
+    """A random symmetric n x n, invariant under the swap of rows 2k, 2k + 1 for k < pairs."""
+    swap = np.arange(n)
+    swap[: 2 * pairs] ^= 1  # 2k <-> 2k + 1
+    b = np.random.default_rng(seed).uniform(-5.0, 5.0, (n, n))
+    b = b + b.T
+    return b + b[np.ix_(swap, swap)], swap
+
+
+@st.composite
+def swap_cases(draw):
+    """A symmetric matrix, zeros included, invariant under a drawn involution."""
+    n = draw(st.integers(1, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = rng.permutation(n)
+    pairs = draw(st.integers(0, n // 2))
+    swap = np.arange(n)
+    first, partner = perm[0 : 2 * pairs : 2], perm[1 : 2 * pairs : 2]
+    swap[first], swap[partner] = partner, first
+    b = rng.uniform(-10.0, 10.0, (n, n))
+    b[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    b = b + b.T
+    return b + b[np.ix_(swap, swap)], swap
+
+
+class TestParityHalves:
+    """One ``SymMatrix`` with a ``swap`` is solved as its even and odd halves."""
+
+    @pytest.mark.parametrize("swap, needle", [
+        ([1, 0, 2], "integer row indices"),           # too short
+        ([1.0, 0.0, 2.0, 3.0], "integer row indices"),
+        ([1, 0, 2, 4], "integer row indices"),        # out of range
+        ([1, 0, -1, 3], "integer row indices"),
+        ([1, 0, 2, 2], "permutation"),                # not a permutation
+        ([1, 2, 0, 3], "its own inverse"),            # a permutation, not an involution
+    ])
+    def test_bad_swap_rejected(self, swap, needle):
+        m, _ = swap_invariant(1, 4, 1)
+        with pytest.raises(ValueError, match=needle):
+            SymMatrix(m, swap=swap)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (1, 4)])
+    def test_entries_one_ulp_off_rejected(self, i, j):
+        m, swap = swap_invariant(2, 5, 2)
+        SymMatrix(m, swap=swap)
+        m[i, j] = m[j, i] = np.nextafter(m[i, j], np.inf)
+        with pytest.raises(ValueError, match="unchanged under swap"):
+            SymMatrix(m, swap=swap)
+
+    def test_swap_is_kept_read_only(self):
+        m, swap = swap_invariant(3, 6, 3)
+        kept = SymMatrix(m, swap=swap).swap
+        assert kept.tolist() == swap.tolist() and not kept.flags.writeable
+        assert SymMatrix(m).swap is None
+
+    @pytest.mark.parametrize("n", [1, 4, ROWS_FROM_N])
+    def test_swap_without_pairs_solves_the_whole(self, n):
+        m = random_symmetric(random.Random(3000 + n), n).to_array()
+        whole, same = eig_sym(m), eig_sym(SymMatrix(m, swap=np.arange(n)))
+        assert same.sweeps == whole.sweeps
+        assert same.values.tobytes() == whole.values.tobytes()
+        assert same.vectors.tobytes() == whole.vectors.tobytes()
+
+    @pytest.mark.parametrize(
+        "n, pairs, sizes", [(2, 1, [1, 1]), (10, 3, [7, 3]), (40, 20, [20, 20])]
+    )
+    def test_each_half_through_jacobi_cycle(self, monkeypatch, n, pairs, sizes):
+        m, swap = swap_invariant(4, n, pairs)
+        solve, seen = linalg._kernel.jacobi_cycle, []
+
+        def recorded(a, v, rel_tol, max_sweeps):
+            sweeps = solve(a, v, rel_tol, max_sweeps)
+            seen.append((len(a), sweeps))
+            return sweeps
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", recorded)
+        system = eig_sym(SymMatrix(m, swap=swap))
+        assert [size for size, _ in seen] == sizes
+        assert system.sweeps == max(sweeps for _, sweeps in seen)
+        for v in system.vectors.T:
+            assert np.array_equal(v[swap], v) or np.array_equal(v[swap], -v)
+
+    @pytest.mark.parametrize("capped", [0, 1])
+    def test_half_at_the_sweep_cap_raises(self, monkeypatch, capped):
+        m, swap = swap_invariant(5, 8, 3)
+        solve, calls = linalg._kernel.jacobi_cycle, []
+
+        def one_capped(a, v, rel_tol, max_sweeps):
+            calls.append(len(a))
+            sweeps = solve(a, v, rel_tol, max_sweeps)
+            return -1 if len(calls) == capped + 1 else sweeps
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", one_capped)
+        with pytest.raises(linalg.ConvergenceError, match="no convergence within 100 sweeps"):
+            eig_sym(SymMatrix(m, swap=swap))
+        assert calls == [5, 3]
+
+    @pytest.mark.parametrize("entries", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
+                                         [[1.0, -1.0], [-1.0, 1.0]]])
+    def test_largest_entries_split_without_overflow(self, entries):
+        # No SymMatrix entry exceeds half the largest float (A + A^T must be
+        # finite), so the halves' sums reach at most the largest float.
+        m = np.array(entries) * (sys.float_info.max / 2)
+        halves, whole = eig_sym(SymMatrix(m, swap=[1, 0])), eig_sym(m)
+        assert np.isfinite(halves.values).all()
+        assert halves.values.tolist() == whole.values.tolist()
+
+    @settings(max_examples=40)
+    @given(swap_cases())
+    def test_values_match_eigvalsh(self, case):
+        m, swap = case
+        system = eig_sym(SymMatrix(m, swap=swap))  # raises unless both checks pass
+        expected = np.linalg.eigvalsh(m)
+        assert np.all(np.abs(system.values - expected) <= 1e-12 * np.max(np.abs(expected)))
+        for v in system.vectors.T:
+            assert np.array_equal(v[swap], v) or np.array_equal(v[swap], -v)
+
+    @pytest.mark.parametrize("n, pairs", [(8, 4), (ROWS_FROM_N + 3, 5)])
+    def test_stacks_ignore_swap(self, n, pairs):
+        m, swap = swap_invariant(6, n, pairs)
+        other = random_symmetric(random.Random(6), 5)
+        for members in ([m], [m, other]):
+            plain = eig_sym_many([SymMatrix(x) if x is m else x for x in members])
+            swapped = eig_sym_many([SymMatrix(x, swap=swap) if x is m else x for x in members])
+            for a, b in zip(plain, swapped):
+                assert a.sweeps == b.sweeps
+                for field in ("values", "vectors", "orthogonality", "residual"):
+                    bits = [np.asarray(getattr(x, field)).tobytes() for x in (a, b)]
+                    assert bits[0] == bits[1]
 
 
 class TestEigSymMany:
@@ -758,7 +891,8 @@ class TestEigSymMany:
 
 class TestKernelChoice:
     @pytest.mark.parametrize(
-        "n, refused", [(ROWS_FROM_N - 1, "jacobi_stack"), (ROWS_FROM_N, "_cycle_lists")]
+        "n, refused",
+        [(ROWS_FROM_N - 1, "jacobi_stack"), (ROWS_FROM_N, "_cycle_lists"), (21, "_cycle_lists")],
     )
     def test_single_matrix_loop_by_size(self, monkeypatch, n, refused):
         def refuse(*args):

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcpair.linalg import eig_sym, eigenvalue_multiset_equal
@@ -352,3 +353,68 @@ class TestStackBuilder:
             assert member.tobytes() == written.tobytes()
             single = build_collective_hamiltonian(p, 1).matrix.to_array()
             assert single.tobytes() == written.tobytes()
+
+
+def mirror(s):
+    return BasisState(s.n2, s.c2, s.n1, s.c1)
+
+
+# Magnitudes kept well inside the normal range, so that a power-of-two scale
+# of up to 2^+-900 leaves every nonzero entry normal and exact.
+moderate = st.floats(0.05, 3.0) | st.just(0.0)
+moderate_signed = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), moderate)
+
+
+class TestExchangeSwap:
+    """``build_hamiltonian`` attaches the exchange of the two cells to its matrix."""
+
+    @pytest.mark.parametrize("nu", range(NU_CAP + 1))
+    def test_swap_is_the_mirror_of_each_state(self, nu):
+        basis = enumerate_sector(nu)
+        swap = build_hamiltonian(random_params(random.Random(nu)), basis).matrix.swap
+        assert swap is not None and not swap.flags.writeable
+        assert [basis.states[j] for j in swap] == [mirror(s) for s in basis.states]
+
+    def test_basis_in_its_own_order_gets_its_own_swap(self):
+        canonical = enumerate_sector(2)
+        order = [3, 0, 7, 5, 1, 6, 2, 4]
+        shuffled = SectorBasis(nu=2, states=tuple(canonical.states[i] for i in order))
+        swap = build_hamiltonian(random_params(random.Random(2)), shuffled).matrix.swap
+        assert [shuffled.states[j] for j in swap] == [mirror(s) for s in shuffled.states]
+
+    def test_no_swap_when_a_mirror_is_missing(self):
+        lopsided = SectorBasis(nu=1, states=enumerate_sector(1).states[:3])
+        p = random_params(random.Random(3))
+        assert build_hamiltonian(p, lopsided).matrix.swap is None
+        assert build_collective_hamiltonian(p, 1).matrix.swap is None
+
+    @pytest.mark.parametrize("nu", range(1, NU_CAP + 1))
+    def test_every_eigenvector_is_even_or_odd(self, nu):
+        p = random_params(random.Random(f"parity:{nu}"), g_min=0.1)
+        basis = enumerate_sector(nu)
+        vectors = eig_sym(build_hamiltonian(p, basis).matrix).vectors
+        swap = [basis.index(mirror(s)) for s in basis.states]
+        for column in vectors.T:
+            assert np.array_equal(column[swap], column) or np.array_equal(column[swap], -column)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nu=st.integers(0, NU_CAP),
+        omega_c=moderate_signed,
+        omega_a=moderate_signed,
+        g=moderate,
+        kappa=moderate_signed,
+        exponent=st.integers(-900, 900),
+    )
+    def test_halves_agree_with_the_whole(self, nu, omega_c, omega_a, g, kappa, exponent):
+        scale = 2.0**exponent
+        p = SystemParams(omega_c * scale, omega_a * scale, g * scale, kappa * scale)
+        matrix = build_hamiltonian(p, enumerate_sector(nu)).matrix
+        # eig_sym raises unless the orthogonality and residual checks pass.
+        halves, whole = eig_sym(matrix), eig_sym(matrix.to_array())
+        expected = np.linalg.eigvalsh(matrix.to_array())
+        tol = 1e-12 * np.max(np.abs(expected))
+        assert np.all(np.abs(halves.values - expected) <= tol)
+        assert np.all(np.abs(halves.values - whole.values) <= tol)
+        assert halves.orthogonality <= 1e-12
+        assert halves.residual <= 1e-10 * max(matrix.max_abs(), sys.float_info.min)
