@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,22 +173,21 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     solved as its even and odd halves (see :func:`_parity_sweep`), and
     checked whole.  Stacks ignore ``swap``.
 
-    The returned decomposition is verified before it is handed back:
-    ``||V^T V - I||_max <= 1e-12`` and
-    ``||A v_k - w_k v_k||_max <= 1e-10 * max(||A||_max, tiny)`` for every k
-    (and every member), where ``tiny`` is the smallest normal float, so that
-    an all-subnormal matrix can pass.  A violation, NaN included (possible only for
-    pathological input), raises :class:`ConvergenceError` rather than
-    returning a bad oracle.
+    The returned decomposition is verified before it is handed back, at unit
+    scale (see :func:`_unit_scaled`): ``||V^T V - I||_max <= 1e-12`` and
+    ``||A v_k - w_k v_k||_max <= 1e-10 * ||A||_max`` for every k (and every
+    member).  A violation, NaN included (possible only for pathological
+    input), or an eigenvalue past the largest float raises
+    :class:`ConvergenceError` rather than returning a bad oracle.
     """
     if not isinstance(a, SymMatrix) and np.ndim(a) != 3:
         a = SymMatrix(a)
     if not isinstance(a, SymMatrix):
-        sym = _symmetrized(a, 3)
-        return _checked(sym, *_sweep(sym), np.arange(len(sym)))
-    sym = a._m[np.newaxis]
-    solved = _sweep(sym) if a._swap is None else _parity_sweep(a._m, a._swap)
-    return _member(_checked(sym, *solved, None), 0)
+        sym, exps, peak = _unit_scaled(_symmetrized(a, 3))
+        return _checked(sym, *_sweep(sym), exps, peak, np.arange(len(sym)))
+    sym, exps, peak = _unit_scaled(a._m[np.newaxis])
+    solved = _sweep(sym) if a._swap is None else _parity_sweep(sym[0], a._swap)
+    return _member(_checked(sym, *solved, exps, peak, None), 0)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -208,9 +206,7 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     or odd under ``swap``.  The sweep count is the larger of the two, or -1
     if either half hit the cap.  A ``swap`` without a pair leaves ``m`` whole.
 
-    No entry of a :class:`SymMatrix` exceeds half the largest float, since
-    ``A + A^T`` is finite, so neither the sums nor the ``sqrt2`` products
-    can overflow.
+    ``m`` is at unit scale (``_unit_scaled``), so no sum or ``sqrt2`` product overflows.
     """
     n = len(m)
     rows = np.arange(n)
@@ -275,6 +271,7 @@ def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem
     for row, index in enumerate(order):
         n = len(syms[index])
         padded[row, :n, :n] = syms[index]
+    padded, exps, peak = _unit_scaled(padded)
     vals, vecs, sweeps = _sweep(padded)
 
     results: list[EigenSystem | None] = [None] * len(syms)
@@ -283,16 +280,34 @@ def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem
         members = np.array(list(group))
         stop = start + len(members)
         system = _checked(
-            np.stack([syms[index] for index in members]),
+            np.ascontiguousarray(padded[start:stop, :n, :n]),
             vals[start:stop, :n],
             vecs[start:stop, :n, :n],
             sweeps[start:stop],
+            exps[start:stop], peak[start:stop],
             members,
         )
         for k, index in enumerate(members):
             results[index] = _member(system, k)
         start = stop
     return results
+
+
+def _unit_scaled(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (B, n, n) ``sym`` at unit scale, the B exponents e that undo it, and max|A| there.
+
+    A member whose max|A| has a ``frexp`` exponent e with |e| > 450 is
+    multiplied by 2^-e, exactly, into [0.5, 1); the others keep e = 0 and
+    every bit.  Sweeps are covariant under a power of two, so this changes
+    no sweep count or vector bit unless a subnormal is involved.
+    """
+    peak = np.max(np.abs(sym), axis=(1, 2))
+    exps = np.frexp(peak)[1]
+    exps[np.abs(exps) <= 450] = 0
+    if exps.any():
+        sym = np.ldexp(sym, -exps[:, np.newaxis, np.newaxis])
+        peak = np.ldexp(peak, -exps)
+    return sym, exps, peak
 
 
 def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,9 +327,11 @@ def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.diagonal(work, axis1=1, axis2=2), vecs, sweeps
 
 
-def _checked(sym, vals, vecs, sweeps, members) -> EigenSystem:
+def _checked(sym, vals, vecs, sweeps, exps, peak, members) -> EigenSystem:
     """Sort, check and freeze ``_sweep``'s output for the (B, n, n) stack ``sym``.
 
+    ``sym``, ``exps`` and ``peak`` are ``_unit_scaled``'s: the check runs at
+    unit scale, and the values and residuals are scaled back by 2^exps.
     ``members`` holds the index each member is named by in an error, or is
     None for a single matrix, which an error does not number.
     """
@@ -329,13 +346,20 @@ def _checked(sym, vals, vecs, sweeps, members) -> EigenSystem:
 
     ortho = np.max(np.abs(vecs.transpose(0, 2, 1) @ vecs - np.eye(n)), axis=(1, 2))
     resid = np.max(np.abs(sym @ vecs - vecs * vals[:, np.newaxis, :]), axis=(1, 2))
-    # The floor lets an all-subnormal matrix pass; the bound scales with A.
-    scale = np.maximum(np.max(np.abs(sym), axis=(1, 2)), sys.float_info.min)
-    bad = np.flatnonzero(~((ortho <= 1e-12) & (resid <= 1e-10 * scale)))
-    if bad.size:
-        k = bad[0]
+    checked = (ortho <= 1e-12) & (resid <= 1e-10 * peak)
+    bad = ~checked
+    if exps.any():
+        # Back to the input's scale, where a value, or a residual that failed, can overflow.
+        with np.errstate(over="ignore"):
+            vals, resid = np.ldexp(vals, exps[:, np.newaxis]), np.ldexp(resid, exps)
+        bad |= np.isinf(vals).any(axis=1)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        member = "" if members is None else f" for member {members[k]}"
+        if checked[k]:
+            raise ConvergenceError(f"an eigenvalue is outside the float range{member}")
         raise ConvergenceError(
-            f"decomposition check failed{'' if members is None else f' for member {members[k]}'}: "
+            f"decomposition check failed{member}: "
             f"orthogonality {ortho[k]:.3e}, residual {resid[k]:.3e}"
         )
     for array in (vals, vecs, sweeps, ortho, resid):

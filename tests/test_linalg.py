@@ -328,13 +328,18 @@ def solve_both_loops(m, max_sweeps=linalg.MAX_SWEEPS):
     return [lists, (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes())]
 
 
-def ladder_block(nu):
+def ladder_matrix(nu):
+    """The sector-nu block, a ``SymMatrix`` carrying the exchange of the cells as its ``swap``."""
     rng = random.Random(f"ladder:{nu}")
     g = rng.uniform(0.5, 2.0)
     omega_c = rng.uniform(-2.0, 2.0)
     p = SystemParams(omega_c=omega_c, omega_a=omega_c + rng.uniform(-3.0, 3.0) * g,
                      g=g, kappa=rng.uniform(-3.0, 3.0) * g)
-    return build_hamiltonian(p, enumerate_sector(nu)).matrix.to_array()
+    return build_hamiltonian(p, enumerate_sector(nu)).matrix
+
+
+def ladder_block(nu):
+    return ladder_matrix(nu).to_array()
 
 
 @st.composite
@@ -551,6 +556,16 @@ class TestRoundRobin:
         assert layout.tolist() == list(range(n))
         assert len(met) == n * (n - 1) // 2
 
+    def test_fortran_ordered_input(self):
+        # The rounds run on flat views of one C-ordered row stack, whatever the input's order.
+        m = random_symmetric(random.Random(1018), 18).to_array()
+        solved = []
+        for order_a, order_v in ("CC", "FC", "CF", "FF"):
+            a, v = np.array(m, order=order_a), np.array(np.eye(18), order=order_v)
+            sweeps = linalg._kernel.jacobi_cycle(a, v, linalg.REL_TOL, linalg.MAX_SWEEPS)
+            solved.append((sweeps, a.tobytes(), v.tobytes()))
+        assert solved[0][0] > 0 and all(each == solved[0] for each in solved)
+
     def test_schedules_built_on_first_use(self):
         code = "import jcpair; from jcpair import _jacobi_py as k; print(k._rounds.cache_info().currsize)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -558,20 +573,36 @@ class TestRoundRobin:
         assert out.stdout.strip() == "0", out.stderr
 
 
-def assert_every_path_agrees(a):
-    """Lists and ``a`` stacked with a zero matrix or an identity solve ``a`` to the same bits.
+def every_path(m, other):
+    """``m``'s (sweeps, values, vectors): alone, after ``other`` in a stack, by ``eig_sym_many``."""
+    a = m.to_array() if isinstance(m, SymMatrix) else m
+    alone, stacked = eig_sym(m), eig_sym(np.stack([other, a]))
+    many = eig_sym_many([np.eye(3), m, np.zeros((2, 2))])[1]
+    return [(alone.sweeps, alone.values, alone.vectors),
+            (int(stacked.sweeps[1]), stacked.values[1], stacked.vectors[1]),
+            (many.sweeps, many.values, many.vectors)]
 
-    ``eig_sym`` of ``a`` alone, which from ``ROWS_FROM_N`` rows takes the
-    round-robin order, is held to the same values within ``1e-12 * max|lambda|``.
+
+def assert_covariant(m, k, companions=("zero", "identity")):
+    """Every path solves ``2^k m`` with ``m``'s sweeps and vectors and values ``2^k`` times ``m``'s.
+
+    ``eig_sym`` solves a matrix outside the band at unit scale and scales its
+    values back, and Jacobi's sweeps are covariant under a power of two, so
+    this holds wherever neither ``m`` nor ``2^k m`` is subnormal.  In the
+    stacks, ``m`` shares the solve with a zero matrix or an identity, which
+    stays as it is.
     """
-    n = len(a)
-    lists, stacked = solve_both_loops(a)
-    assert lists == stacked and lists[0] > 0
-    work, vecs = np.stack([a, np.eye(n)]), np.broadcast_to(np.eye(n), (2, n, n)).copy()
-    sweeps = linalg._kernel.jacobi_stack(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
-    assert (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes()) == lists
-    values = np.sort(np.diagonal(work[0]))
-    assert np.all(np.abs(eig_sym(a).values - values) <= 1e-12 * np.max(np.abs(values)))
+    if isinstance(m, SymMatrix):
+        n, scaled = m.n, SymMatrix(np.ldexp(m.to_array(), k), swap=m.swap)
+    else:
+        n, scaled = len(m), np.ldexp(m, k)
+    for companion in companions:
+        other = np.eye(n) if companion == "identity" else np.zeros((n, n))
+        for plain, rescaled in zip(every_path(m, other), every_path(scaled, other)):
+            sweeps, values, vectors = plain
+            assert rescaled[0] == sweeps
+            assert rescaled[1].tobytes() == np.ldexp(values, k).tobytes()
+            assert rescaled[2].tobytes() == vectors.tobytes()
 
 
 class TestLargeEntries:
@@ -592,8 +623,56 @@ class TestLargeEntries:
         assert np.max(np.abs(stacked.values[0] - expected)) <= tol
 
     @pytest.mark.parametrize("n", sorted({2, ROWS_FROM_N, 21}))
-    def test_every_path_agrees(self, n):
-        assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e300)
+    def test_covariant_with_unit_scale(self, n):
+        # 2^997 is about 1.3e300.
+        assert_covariant(random_symmetric(random.Random(2000 + n), n).to_array(), 997)
+
+    def test_sector_block_near_the_float_maximum(self):
+        # ||A||_F of this 24-row block is past the largest float; its eigenvalues are not.
+        m = ladder_matrix(6)
+        a = m.to_array() * (sys.float_info.max / 4 / m.max_abs())
+        expected = np.linalg.eigvalsh(a)
+        tol = 1e-12 * np.max(np.abs(expected))
+        for solved in (eig_sym(SymMatrix(a, swap=m.swap)).values, eig_sym(a).values,
+                       eig_sym(np.stack([a, np.eye(24)])).values[0]):
+            assert np.max(np.abs(solved - expected)) <= tol
+
+    def test_random_matrices_at_the_top_exponent(self):
+        # Entries up to 2^1022: each matrix is solved as its unit-scale twin, or
+        # raises because one of its eigenvalues is past the largest float.
+        rng = np.random.default_rng(1022)
+        outcomes = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 30))
+            b = rng.uniform(-1.0, 1.0, (n, n))
+            b = b + b.T
+            c = b / np.max(np.abs(b))
+            unit, a = eig_sym(c), np.ldexp(c, 1022)
+            with np.errstate(over="ignore"):
+                values = np.ldexp(unit.values, 1022)
+            if np.isfinite(values).all():
+                system = eig_sym(a)
+                assert system.sweeps == unit.sweeps
+                assert system.values.tobytes() == values.tobytes()
+                assert system.vectors.tobytes() == unit.vectors.tobytes()
+                outcomes.add("solved")
+            else:
+                with pytest.raises(linalg.ConvergenceError, match="outside the float range"):
+                    eig_sym(a)
+                outcomes.add("raised")
+        assert outcomes == {"solved", "raised"}
+
+    @pytest.mark.parametrize("solve, named", [
+        (lambda a: eig_sym(a), ""),
+        (lambda a: eig_sym(np.stack([np.eye(3), a])), " for member 1"),
+        (lambda a: eig_sym_many([np.eye(2), a]), " for member 1"),
+    ], ids=["alone", "stacked", "many"])
+    def test_eigenvalue_past_the_float_maximum(self, solve, named):
+        # Every entry is finite, and so is A + A^T; the largest eigenvalue is 1.2 * max.
+        a = np.full((3, 3), sys.float_info.max / 2.5)
+        with pytest.raises(linalg.ConvergenceError) as error:
+            solve(a)
+        assert str(error.value) == "an eigenvalue is outside the float range" + named
 
 
 class TestTinyEntries:
@@ -636,8 +715,45 @@ class TestTinyEntries:
         assert scaled.vectors.tobytes() == plain.vectors.tobytes()
 
     @pytest.mark.parametrize("n", sorted({2, ROWS_FROM_N, 21}))
-    def test_every_path_agrees(self, n):
-        assert_every_path_agrees(random_symmetric(random.Random(2000 + n), n).to_array() * 1e-300)
+    def test_covariant_with_unit_scale(self, n):
+        # 2^-997 is about 7.5e-301.
+        assert_covariant(random_symmetric(random.Random(2000 + n), n).to_array(), -997)
+
+
+@st.composite
+def covariance_cases(draw):
+    """A matrix near unit scale, n = 1..48 or a sector block with its swap, an exponent k
+    and the companion it is stacked with.
+
+    k keeps every nonzero entry of ``2^k A`` normal, and ``2^k`` times
+    n * max|A|, a bound on every eigenvalue, within half the largest float.
+    """
+    if draw(st.booleans()):
+        m = ladder_matrix(draw(st.integers(1, 12)))
+        a = m.to_array()
+    else:
+        n = draw(st.integers(1, 48))
+        b = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (n, n))
+        a = m = 0.5 * (b + b.T)
+    smallest = np.frexp(np.min(np.abs(a[a != 0.0])))[1]
+    largest = np.frexp(len(a) * np.max(np.abs(a)))[1]
+    k = draw(st.integers(-1021 - int(smallest), 1023 - int(largest)))
+    return m, k, [draw(st.sampled_from(["zero", "identity"]))]
+
+
+class TestScaleCovariance:
+    """``eig_sym`` of ``2^k A`` is ``eig_sym`` of ``A`` with its values times ``2^k``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(covariance_cases())
+    def test_every_path(self, case):
+        assert_covariant(*case)
+
+    @pytest.mark.parametrize("exponent", [-451, -450, 450, 451])
+    def test_on_both_sides_of_the_band_edges(self, exponent):
+        # max|2^k A| gets this frexp exponent; past +-450 the matrix is rescaled.
+        m = ladder_matrix(3)
+        assert_covariant(m, exponent - math.frexp(m.max_abs())[1])
 
 
 def padded_stack(sizes, seed):
