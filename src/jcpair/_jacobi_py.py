@@ -12,23 +12,31 @@ It picks its sweep body from its input:
   for every member, however many are still live;
 * one matrix from ``_ROWS_FROM_N`` rows up runs ``_sweep_rounds``: the
   round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
-  n/2 disjoint rotations at once, one set of NumPy operations per round.
+  n/2 disjoint rotations per member at once, one set of NumPy operations
+  per round over every live member.
 
-``jacobi_cycle`` solves one matrix: below ``_ROWS_FROM_N`` rows with the list
-loop, from there up as a stack of one.  So below the boundary a matrix gets
-the same bits alone and in any stack; from the boundary up, alone, it gets
-other bits, which pass the same checks.  Both solvers copy their results
-back into the arrays they were given.
+``jacobi_cycle`` solves one matrix, given whole or as the two halves it
+splits into under an exchange of its rows (``linalg._parity_sweep``).  A
+whole matrix below ``_ROWS_FROM_N`` rows runs the list loop, from there up
+the rounds.  The two halves run the rounds together, as one stack of two,
+so each round's fixed NumPy call cost is paid once for both.  So below the
+boundary a matrix gets the same bits alone and in any stack; from the
+boundary up, alone, it gets other bits, which pass the same checks.  Both
+solvers copy their results back into the arrays they were given.
 
 Each NumPy call costs a fixed time, so lists win for small single matrices
-and round-robin rounds for large ones.  Best of 5 to 7 runs on a 2-vCPU
-Xeon VM: a dense 48x48 takes 30-40 ms in rounds against 160-230 ms on
-lists; the two are level at n = 14, and rounds lead by about a quarter at
-n = 17, by about 40% at n = 18-19 and by 45% or more from n = 20.
+and round-robin rounds for large ones.  Best of 3 to 7 runs on a 2-vCPU
+Xeon VM, whose speed drifts: a dense 48x48 takes 17-40 ms in rounds against
+about 90 ms on lists; the two are level at n = 16-17, and rounds take
+0.73-0.78x the lists' time at n = 18-19 and 0.54-0.74x from n = 20.  Two
+dense halves of 17, 20 or 24 rows take 3.9, 4.5 or 7.0 ms in shared rounds,
+against 6.2, 7.2 or 9.8 ms in two calls.
 
 A member zero-padded to a larger size keeps its bits in ``_sweep_many``:
 its padded pivots are +0.0 and are skipped, and its own rotations write
-+0.0 into its padding.  ``linalg.eig_sym_many`` sorts such a stack by size,
++0.0 into its padding.  In ``_sweep_rounds`` the same holds, but the
+padding moves the member's rotations into other rounds, so its bits are
+those of the padded size.  ``linalg.eig_sym_many`` sorts such a stack by size,
 largest first, so the members that rotate at each pivot are a leading block,
 which ``_sweep_many`` rotates in place; members in any other order are
 gathered and scattered two rows at a time.
@@ -45,30 +53,43 @@ import math
 
 import numpy as np
 
-# Single matrices with at least this many rows run ``jacobi_stack`` in the
-# round-robin order.  On dense matrices, best of 7 on a 2-vCPU Xeon VM, rounds
-# take 0.93x the lists' time at 15 rows, 0.88x at 16, 0.77x at 17 (3.5 ms
-# against 4.6 ms) and 0.54x at 20.  17 is the lowest boundary that keeps the
-# 16-row single solves on lists with the bits they share with stacks.  The
-# even and odd halves of the sectors nu = 8..12 have 15-25 rows, so all but
-# one of them are on this side.
+# Single matrices, and pairs of exchange halves, with at least this many
+# rows run the round-robin order.  On dense matrices, best of 7 on a 2-vCPU
+# Xeon VM, rounds take 1.22x the lists' time at 15 rows, 0.98-1.02x at 16
+# and 17 (3.2 ms each), 0.75x at 18 and 0.62-0.66x at 20.  17 is the lowest
+# boundary that keeps the 16-row single solves on lists with the bits they
+# share with stacks.  ``linalg._parity_sweep`` sends a block's two halves
+# to one call when its even half has this many rows: those of the sectors
+# nu = 8..12 (17-25 rows), where the odd half of an even nu is two rows
+# smaller and zero-padded.
 _ROWS_FROM_N = 17
 
 
 def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
-    """Run cyclic Jacobi sweeps in place on the (n, n) float64 array ``a``.
+    """Run cyclic Jacobi sweeps in place on one matrix, whole or as its two halves.
 
-    Rotations are accumulated into ``v`` (passed in as the identity), so on
-    return the columns of ``v`` are eigenvectors and ``diag(a)`` holds the
-    eigenvalues, unsorted.  Returns the number of sweeps performed, or -1
-    if the off-diagonal Frobenius norm did not drop below
-    ``rel_tol * ||A||_F`` within ``max_sweeps`` sweeps.  Below
-    ``_ROWS_FROM_N`` rows the sweeps take the row-cyclic order, from there up
-    the round-robin order.
+    ``a`` is one matrix, given whole as an (n, n) float64 array, or as its
+    two exchange halves, a (2, m, m) stack whose smaller half is
+    zero-padded to m (``linalg._parity_sweep``).  Rotations are accumulated
+    into ``v`` (the identity, or a stack of two), so on return the columns
+    of ``v`` are eigenvectors and the diagonal of ``a`` holds the
+    eigenvalues, unsorted.  Returns one int: the number of sweeps, for the
+    halves the larger of their two counts, or -1 if the off-diagonal
+    Frobenius norm (of either half) did not drop below ``rel_tol * ||A||_F``
+    within ``max_sweeps`` sweeps.
+
+    A whole matrix below ``_ROWS_FROM_N`` rows takes the row-cyclic order,
+    from there up the round-robin order.  The halves take the round-robin
+    order together, in the same rounds, and each leaves them once it has
+    converged, as in ``jacobi_stack``; a half gets the bits it gets alone at
+    its padded size.
     """
-    if a.shape[0] < _ROWS_FROM_N:
-        return _cycle_lists(a, v, rel_tol, max_sweeps)
-    return int(jacobi_stack(a[np.newaxis], v[np.newaxis], rel_tol, max_sweeps)[0])
+    if a.ndim == 2:
+        if a.shape[0] < _ROWS_FROM_N:
+            return _cycle_lists(a, v, rel_tol, max_sweeps)
+        a, v = a[np.newaxis], v[np.newaxis]
+    sweeps = _solve_stack(a, v, rel_tol, max_sweeps, _sweep_rounds)
+    return -1 if (sweeps < 0).any() else int(sweeps.max())
 
 
 def _angle(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
@@ -111,28 +132,29 @@ def _cycle_lists(a, v, rel_tol: float, max_sweeps: int) -> int:
             sweeps_done = -1
             break
         for p in range(n - 1):
+            row_p = aw[p]
             for q in range(p + 1, n):
-                apq = aw[p][q]
+                apq = row_p[q]
                 if apq == 0.0:
                     continue
-                t, c, s = _angle(aw[p][p], aw[q][q], apq)
-                aw[p][p] -= t * apq
-                aw[q][q] += t * apq
-                aw[p][q] = 0.0
-                aw[q][p] = 0.0
+                row_q = aw[q]
+                t, c, s = _angle(row_p[p], row_q[q], apq)
+                row_p[p] -= t * apq
+                row_q[q] += t * apq
+                row_p[q] = 0.0
+                row_q[p] = 0.0
                 for k in range(n):
                     if k != p and k != q:
-                        akp = aw[k][p]
-                        akq = aw[k][q]
-                        aw[k][p] = c * akp - s * akq
-                        aw[k][q] = s * akp + c * akq
-                        aw[p][k] = aw[k][p]
-                        aw[q][k] = aw[k][q]
-                for k in range(n):
-                    vkp = vw[k][p]
-                    vkq = vw[k][q]
-                    vw[k][p] = c * vkp - s * vkq
-                    vw[k][q] = s * vkp + c * vkq
+                        row_k = aw[k]
+                        akp = row_k[p]
+                        akq = row_k[q]
+                        row_k[p] = row_p[k] = c * akp - s * akq
+                        row_k[q] = row_q[k] = s * akp + c * akq
+                for row in vw:
+                    vkp = row[p]
+                    vkq = row[q]
+                    row[p] = c * vkp - s * vkq
+                    row[q] = s * vkp + c * vkq
         sweeps_done += 1
     a[:] = aw
     v[:] = vw
@@ -166,11 +188,16 @@ def jacobi_stack(a, v, rel_tol: float, max_sweeps: int):
     Python float arithmetic.  A member is written back to ``a`` and ``v`` and
     leaves the stack once it has converged.
     """
+    sweep = _sweep_rounds if len(a) == 1 and a.shape[1] >= _ROWS_FROM_N else _sweep_many
+    return _solve_stack(a, v, rel_tol, max_sweeps, sweep)
+
+
+def _solve_stack(a, v, rel_tol: float, max_sweeps: int, sweep):
+    """The sweep loop of ``jacobi_stack`` and of ``jacobi_cycle``'s rounds, with ``sweep`` as its body."""
     count, n = a.shape[0], a.shape[1]
     sweeps = np.zeros(count, dtype=np.int64)
     if n < 2:
         return sweeps
-    sweep = _sweep_rounds if count == 1 and n >= _ROWS_FROM_N else _sweep_many
     rows, cols = np.triu_indices(n, 1)  # row-major, the list loop's order
     # C order, so the flat views in _sweep_rounds write through to w.
     w = np.ascontiguousarray(np.concatenate((a, v.transpose(0, 2, 1)), axis=2))
@@ -274,46 +301,53 @@ def _rounds(n: int) -> np.ndarray:
 
 
 def _sweep_rounds(w) -> None:
-    """One round-robin sweep of the single member whose rows are the (1, n, 2n) ``w``.
+    """One round-robin sweep of every member of the (B, n, 2n) row stack ``w``.
 
-    Each round rotates every slot pair (2k, 2k + 1) whose pivot is nonzero at
-    once: the angles are ``_angles`` over the pairs, rows 2k and 2k + 1 of
-    ``[A | V^T]`` are updated, then columns 2k and 2k + 1 of A, and the pivot
-    blocks get their exact diagonal entries and zeros.  A pair whose pivot is
-    zero is not written.  ``_rounds``' gather then mirrors A and moves the
-    next round's pairs into place, in a second buffer.
+    Each round rotates every slot pair (2k, 2k + 1) whose pivot is nonzero,
+    in every member at once: the angles are ``_angles`` over the pairs, rows
+    2k and 2k + 1 of ``[A | V^T]`` are updated, then columns 2k and 2k + 1
+    of A, and the pivot blocks get their exact diagonal entries and zeros.
+    A pair whose pivot is zero is not written.  ``_rounds``' gather then
+    mirrors A and moves the next round's pairs into place, in a second
+    buffer.  The operations are elementwise, so each member gets the bits
+    it gets alone.
     """
     n = w.shape[1]
+    # One member is swept as its (n, 2n) rows: NumPy runs a 1-D strided view
+    # of the pivots faster than a (1, n/2) one, and this is the common case.
+    stack = w[0] if len(w) == 1 else w
     gather = _rounds(n)
     npairs = n // 2
-    step = 4 * n + 2  # from one pivot block to the next in the flat rows
+    step = 4 * n + 2  # from one pivot block to the next in a member's flat rows
     stop = step * npairs
     views = []
-    for rows in (w[0], np.empty_like(w[0])):
-        flat = rows.reshape(-1)
+    for rows in (stack, np.empty_like(stack)):
+        flat = rows.reshape(*rows.shape[:-2], -1)
         views.append((
-            rows, rows[0 : 2 * npairs : 2], rows[1 : 2 * npairs : 2],
-            rows[:, 0 : 2 * npairs : 2], rows[:, 1 : 2 * npairs : 2],
-            flat[0:stop:step], flat[2 * n + 1 : stop : step], flat[1:stop:step],
+            rows, flat, rows[..., 0 : 2 * npairs : 2, :], rows[..., 1 : 2 * npairs : 2, :],
+            # Columns as (n, [B,] n/2), so the pairs' angles broadcast over them.
+            rows[..., 0 : 2 * npairs : 2].swapaxes(-2, 0),
+            rows[..., 1 : 2 * npairs : 2].swapaxes(-2, 0),
+            flat[..., 0:stop:step], flat[..., 2 * n + 1 : stop : step], flat[..., 1:stop:step],
         ))
     # A zero pivot's angle is NaN or zero, and is never written.
     with np.errstate(divide="ignore", invalid="ignore"):
         for r in range(n + n % 2 - 1):
-            rows, row_p, row_q, col_p, col_q, app, aqq, apq = views[r % 2]
+            _, flat, row_p, row_q, col_p, col_q, app, aqq, apq = views[r % 2]
             keep = apq != 0.0
             kept = np.count_nonzero(keep)
             if kept:
-                row_kept, col_kept = (True, True) if kept == npairs else (keep[:, None], keep)
+                row_kept, col_kept = (True, True) if kept == keep.size else (keep[..., None], keep)
                 t, c, s = _angles(app, aqq, apq)
                 shift = t * apq
                 new_pp, new_qq = app - shift, aqq + shift
-                _pair_update(row_p, row_q, c[:, None], s[:, None], row_kept)
+                _pair_update(row_p, row_q, c[..., None], s[..., None], row_kept)
                 _pair_update(col_p, col_q, c, s, col_kept)
                 np.copyto(app, new_pp, where=col_kept)
                 np.copyto(aqq, new_qq, where=col_kept)
                 np.copyto(apq, 0.0, where=col_kept)
-            np.take(rows.reshape(-1), gather, out=views[1 - r % 2][0], mode="clip")
-    w[0] = views[1][0]
+            np.take(flat, gather, axis=-1, out=views[1 - r % 2][0], mode="clip")
+    stack[...] = views[1][0]
 
 
 def _pair_update(x_p, x_q, c, s, where) -> None:

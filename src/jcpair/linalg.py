@@ -10,8 +10,8 @@ more runs ``jacobi_stack`` in the row-cyclic order of the list loop, NumPy
 calls over all live members, with the list loop's bits.  So below 17 rows a
 matrix gets the same bits alone and in a stack; from 17 rows up, alone, it
 gets other bits that pass the same checks.  NumPy calls cost a fixed time
-each, so on a 2-vCPU Xeon VM a dense 48x48 takes 30-40 ms alone against
-160-230 ms as lists, while 1,000 4x4s take 10 ms as one stack against
+each, so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone against
+about 90 ms as lists, while 1,000 4x4s take 10 ms as one stack against
 230-290 ms one by one.
 
 A :class:`SymMatrix` may carry a ``swap``: an involutive permutation of its
@@ -21,7 +21,11 @@ block.  ``eig_sym`` of one such matrix solves its even and odd halves under
 that exchange, two blocks of about n/2 rows, in place of the whole matrix
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976), and checks the
 reassembled vectors against the whole matrix.  Jacobi's cost grows as n^3,
-so each half costs about an eighth of the whole.  Stacks ignore ``swap``.
+so each half costs about an eighth of the whole.  Halves below 17 rows take
+one ``jacobi_cycle`` call each, on lists; from 17 rows up both go to one
+call as a ``(2, m, m)`` stack, the odd half zero-padded, and are swept in
+the same round-robin rounds, so each round's NumPy calls serve both.
+Stacks ignore ``swap``.
 
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
 sorted by size, with each result equal to ``eig_sym`` of that matrix's
@@ -200,11 +204,16 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     partners J and the fixed points F, the even half is
     ``[[A[I,I] + A[I,J], sqrt2*A[I,F]], [sqrt2*A[F,I], A[F,F]]]`` and the odd
     half ``A[I,I] - A[I,J]``; ``m``'s invariance under ``swap`` makes both
-    exactly symmetric.  Each is swept by ``_sweep``, and the vectors are put
-    back as ``v[I] = v[J] = x/sqrt2, v[F] = x_F`` (even) and
-    ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is exactly even
-    or odd under ``swap``.  The sweep count is the larger of the two, or -1
-    if either half hit the cap.  A ``swap`` without a pair leaves ``m`` whole.
+    exactly symmetric.  An even half below ``_ROWS_FROM_N`` rows means two
+    halves on lists, each swept by ``_sweep``.  From there up, the odd half,
+    which is never the larger, is zero-padded to the even one's size m, and
+    one ``jacobi_cycle`` call sweeps the ``(2, m, m)`` pair in shared
+    round-robin rounds; each half gets the bits it gets alone at size m.
+    The vectors are put back as ``v[I] = v[J] = x/sqrt2, v[F] = x_F``
+    (even) and ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is
+    exactly even or odd under ``swap``.  The sweep count is the larger of
+    the two, or -1 if either half hit the cap.  A ``swap`` without a pair
+    leaves ``m`` whole.
 
     ``m`` is at unit scale (``_unit_scaled``), so no sum or ``sqrt2`` product overflows.
     """
@@ -222,9 +231,23 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     even[:k, :k] += g[:k, size:]
     even[:k, k:] *= _SQRT2
     even[k:, :k] *= _SQRT2
-    even_vals, x, even_sweeps = _sweep(even[np.newaxis])
-    odd_vals, y, odd_sweeps = _sweep((g[:k, :k] - g[:k, size:])[np.newaxis])
-    x, y = x[0], y[0]
+    odd = g[:k, :k] - g[:k, size:]
+    if size < _kernel._ROWS_FROM_N:
+        even_vals, x, even_sweeps = _sweep(even[np.newaxis])
+        odd_vals, y, odd_sweeps = _sweep(odd[np.newaxis])
+        vals = np.concatenate((even_vals, odd_vals), axis=1)
+        x, y = x[0], y[0]
+        capped = even_sweeps[0] < 0 or odd_sweeps[0] < 0
+        sweeps = -1 if capped else max(even_sweeps[0], odd_sweeps[0])
+    else:
+        # One kernel call for both halves, the odd one zero-padded to the
+        # even one's size: its padded pivots are +0.0 and are skipped.
+        pair = np.zeros((2, size, size))
+        pair[0], pair[1, :k, :k] = even, odd
+        pair_vecs = np.broadcast_to(np.eye(size), pair.shape).copy()
+        sweeps = _kernel.jacobi_cycle(pair, pair_vecs, REL_TOL, MAX_SWEEPS)
+        vals = np.concatenate((np.diagonal(pair[0]), np.diagonal(pair[1])[:k]))[np.newaxis]
+        x, y = pair_vecs[0], pair_vecs[1, :k, :k]
     half_x, half_y = x[:k] / _SQRT2, y / _SQRT2
     v = np.zeros((n, n))
     v[k:size, :size] = x[k:]
@@ -233,9 +256,7 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     v[size:, size:] = -half_y
     vecs = np.empty((1, n, n))
     vecs[0, order] = v
-    capped = even_sweeps[0] < 0 or odd_sweeps[0] < 0
-    sweeps = np.array([-1 if capped else max(even_sweeps[0], odd_sweeps[0])])
-    return np.concatenate((even_vals, odd_vals), axis=1), vecs, sweeps
+    return vals, vecs, np.array([sweeps])
 
 
 def eig_sym_many(matrices: Sequence[SymMatrix | np.ndarray]) -> list[EigenSystem]:

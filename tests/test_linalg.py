@@ -871,8 +871,11 @@ class TestParityHalves:
         assert same.values.tobytes() == whole.values.tobytes()
         assert same.vectors.tobytes() == whole.vectors.tobytes()
 
+    # Halves below ROWS_FROM_N rows take one call each; larger ones share one
+    # call as a (2, m, m) stack.
     @pytest.mark.parametrize(
-        "n, pairs, sizes", [(2, 1, [1, 1]), (10, 3, [7, 3]), (40, 20, [20, 20])]
+        "n, pairs, sizes", [(2, 1, [(1, 1), (1, 1)]), (10, 3, [(7, 7), (3, 3)]),
+                            (40, 20, [(2, 20, 20)])]
     )
     def test_each_half_through_jacobi_cycle(self, monkeypatch, n, pairs, sizes):
         m, swap = swap_invariant(4, n, pairs)
@@ -880,12 +883,12 @@ class TestParityHalves:
 
         def recorded(a, v, rel_tol, max_sweeps):
             sweeps = solve(a, v, rel_tol, max_sweeps)
-            seen.append((len(a), sweeps))
+            seen.append((a.shape, sweeps))
             return sweeps
 
         monkeypatch.setattr(linalg._kernel, "jacobi_cycle", recorded)
         system = eig_sym(SymMatrix(m, swap=swap))
-        assert [size for size, _ in seen] == sizes
+        assert [shape for shape, _ in seen] == sizes
         assert system.sweeps == max(sweeps for _, sweeps in seen)
         for v in system.vectors.T:
             assert np.array_equal(v[swap], v) or np.array_equal(v[swap], -v)
@@ -937,6 +940,112 @@ class TestParityHalves:
                 for field in ("values", "vectors", "orthogonality", "residual"):
                     bits = [np.asarray(getattr(x, field)).tobytes() for x in (a, b)]
                     assert bits[0] == bits[1]
+
+
+def halves_with_one_diagonal(k, diagonal):
+    """A 2k-row matrix, invariant under the swap of rows i and k + i, whose even or odd half is diagonal.
+
+    With I = rows 0..k-1 and J = their partners, A[I,I] = D + X and
+    A[I,J] = +-X, so the halves ``A[I,I] +- A[I,J]`` are D and D + 2X.
+    """
+    rng = np.random.default_rng(k)
+    d = np.diag(rng.uniform(-5.0, 5.0, k))
+    x = rng.uniform(-5.0, 5.0, (k, k))
+    x = x + x.T
+    sign = 1.0 if diagonal == "odd" else -1.0
+    m = np.block([[d + x, sign * x], [sign * x, d + x]])
+    return m, np.concatenate((np.arange(k, 2 * k), np.arange(k)))
+
+
+def recorded_pairs(monkeypatch):
+    """Wrap ``jacobi_cycle``; the list receives a copy of each (2, m, m) input and its sweeps."""
+    solve, pairs = linalg._kernel.jacobi_cycle, []
+
+    def recorded(a, v, rel_tol, max_sweeps):
+        given = a.copy()
+        sweeps = solve(a, v, rel_tol, max_sweeps)
+        if a.ndim == 3:
+            pairs.append((given, a.copy(), v.copy(), sweeps))
+        return sweeps
+
+    monkeypatch.setattr(linalg._kernel, "jacobi_cycle", recorded)
+    return pairs
+
+
+def each_half(pair, max_sweeps):
+    """The sweep count of each half of the (2, m, m) ``pair`` in shared rounds."""
+    vecs = np.broadcast_to(np.eye(pair.shape[1]), pair.shape).copy()
+    return linalg._kernel._solve_stack(
+        pair.copy(), vecs, linalg.REL_TOL, max_sweeps, linalg._kernel._sweep_rounds
+    )
+
+
+class TestParityPairedRounds:
+    """Halves from ``ROWS_FROM_N`` rows share one ``jacobi_cycle`` call, as a (2, m, m) stack."""
+
+    @pytest.mark.parametrize("nu", [9, 11])
+    def test_equal_halves_get_their_bits_alone(self, monkeypatch, nu):
+        pairs = recorded_pairs(monkeypatch)
+        system = eig_sym(ladder_matrix(nu))
+        monkeypatch.undo()
+        [(given, swept, vecs, sweeps)] = pairs
+        m = 2 * nu
+        assert given.shape == (2, m, m) and system.sweeps == sweeps
+        each = each_half(given, linalg.MAX_SWEEPS)
+        alone_sweeps = []
+        for half in range(2):
+            alone, alone_vecs = given[half].copy(), np.eye(m)
+            alone_sweeps.append(linalg._kernel.jacobi_cycle(
+                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS))
+            assert swept[half].tobytes() == alone.tobytes()
+            assert vecs[half].tobytes() == alone_vecs.tobytes()
+        assert each.tolist() == alone_sweeps and sweeps == max(alone_sweeps) > 0
+
+    @pytest.mark.parametrize("diagonal", ["odd", "even"])
+    def test_diagonal_half_leaves_at_sweep_0(self, monkeypatch, diagonal):
+        m, swap = halves_with_one_diagonal(ROWS_FROM_N + 3, diagonal)
+        pairs = recorded_pairs(monkeypatch)
+        system = eig_sym(SymMatrix(m, swap=swap))
+        monkeypatch.undo()
+        [(given, swept, vecs, sweeps)] = pairs
+        live = 0 if diagonal == "odd" else 1
+        size = given.shape[1]
+        alone, alone_vecs = given[live].copy(), np.eye(size)
+        assert sweeps == linalg._kernel.jacobi_cycle(
+            alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS) == system.sweeps > 0
+        assert each_half(given, linalg.MAX_SWEEPS)[1 - live] == 0
+        assert swept[live].tobytes() == alone.tobytes()
+        assert vecs[live].tobytes() == alone_vecs.tobytes()
+        assert swept[1 - live].tobytes() == given[1 - live].tobytes()
+        assert vecs[1 - live].tobytes() == np.eye(size).tobytes()
+
+    @pytest.mark.parametrize("diagonal", ["odd", "even"])
+    def test_one_capped_half_returns_minus_1_and_raises(self, monkeypatch, diagonal):
+        m, swap = halves_with_one_diagonal(ROWS_FROM_N + 3, diagonal)
+        pairs = recorded_pairs(monkeypatch)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        with pytest.raises(linalg.ConvergenceError, match="no convergence within 1 sweeps"):
+            eig_sym(SymMatrix(m, swap=swap))
+        [(given, _, _, sweeps)] = pairs
+        assert sweeps == -1
+        # The diagonal half converged at sweep 0; only the other one was capped.
+        expected = [-1, 0] if diagonal == "odd" else [0, -1]
+        assert each_half(given, 1).tolist() == expected
+
+    @pytest.mark.parametrize("kappa_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("nu", range(8, 13))
+    def test_ladder_blocks_even_or_odd_and_match_eigvalsh(self, nu, kappa_sign):
+        rng = random.Random(f"pair:{nu}")
+        g = rng.uniform(0.5, 2.0)
+        p = SystemParams(omega_c=0.3, omega_a=0.3 + rng.uniform(-3.0, 3.0) * g, g=g,
+                         kappa=kappa_sign * rng.uniform(0.1, 3.0) * g)
+        block = build_hamiltonian(p, enumerate_sector(nu)).matrix
+        system = eig_sym(block)  # raises unless both checks pass
+        swap = block.swap
+        for v in system.vectors.T:
+            assert np.array_equal(v[swap], v) or np.array_equal(v[swap], -v)
+        expected = np.linalg.eigvalsh(block.to_array())
+        assert np.all(np.abs(system.values - expected) <= 1e-12 * np.max(np.abs(expected)))
 
 
 class TestEigSymMany:
