@@ -3,7 +3,7 @@
 ``repr(x)`` of a finite float is the shortest decimal that reads back as
 ``x`` (of those, the closest; at a tie, the one with an even last digit),
 written positionally for ``1e-4 <= |x| < 1e16`` and as ``d.ddde±XX``
-otherwise.  ``fields`` finds those digits for a whole array at once with
+otherwise.  ``_decimals`` finds those digits for a whole array at once with
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020, as in
 ``toDecimal`` of Java's ``DoubleToDecimal``), which needs only 64-bit
 integer multiplies, shifts and compares.  Two of Java's rules are left out,
@@ -68,7 +68,6 @@ _U10, _U10_4, _U10_8, _U10_16 = map(_u, (10, 10**4, 10**8, 10**16))
 _EXPONENT, _MANTISSA, _HIDDEN = _u(0x7FF), _u((1 << 52) - 1), _u(1 << 52)
 _M32, _EVEN32, _MINUS = _u(0xFFFFFFFF), _u(0xFFFFFFFE), _u(ord("-"))
 _U40, _ASCII_0 = _u(40), _u(ord("0"))
-_SPARE_BYTES = _u(2**64 - 2 ** (64 - 8 * SPARE))
 _I12, _I38, _I41, _I52, _I1075 = map(_i, (12, 38, 41, 52, 1075))
 _LOG10_2, _LOG10_3_4, _LOG2_10 = map(_i, (661_971_961_083, 274_743_187_321, -913_124_641_741))
 _DECPTS = range(-324, 310)  # the rows of the tables by decpt (see _layout)
@@ -369,18 +368,6 @@ def _replace(out: np.ndarray, rows: np.ndarray, texts: Iterator[str]) -> None:
         row = out[i, :WORDS].view(np.uint8)
         row[: row.size - SPARE] = 0
         row[: len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-
-
-def fields(values: np.ndarray, out: np.ndarray) -> None:
-    """Write ``repr(float(v))`` for each element v of the 1-d float64 array
-    ``values`` into the matching row of ``out``, a ``(len(values), WORDS)``
-    little-endian uint64 array: ASCII with NUL bytes anywhere between, in
-    all but the last ``SPARE`` bytes of the row, which are left as they are."""
-    digits, e, negative, special = _decimals(values.view(np.uint64).copy())
-    out[:, WORDS - 1] &= _SPARE_BYTES
-    _layout(digits, e, negative, out)
-    rows = np.flatnonzero(special)
-    _replace(out, rows, (repr(float(values[i])) for i in rows))
 
 
 def _block_text(columns: list[np.ndarray], start: int, count: int, tails: np.ndarray, end: int | None) -> str:

@@ -1,28 +1,28 @@
 """Cyclic Jacobi sweeps: the rotation kernels behind ``linalg.eig_sym``.
 
-Two rotation orders, in two solvers.  ``_cycle_lists`` solves one matrix on
-nested Python lists, in the row-cyclic order.  ``jacobi_stack`` solves a
-``(B, n, n)`` stack with NumPy, keeping each member as the rows of
-``W = [A | V^T]``, so one update of rows p and q rotates A and V together.
-It picks its sweep body from its input:
+Two entry points, and this module alone picks the sweep body of each.
+``jacobi_stack`` solves a ``(B, n, n)`` stack of matrices; ``jacobi_cycle``
+solves one matrix, given whole or as the two halves it splits into under an
+exchange of its rows (``linalg._parity_sweep``).  There are three bodies:
 
-* a stack of two or more, or one matrix below ``_ROWS_FROM_N`` rows, runs
-  ``_sweep_many``: the row-cyclic order, each rotation one set of NumPy
+* ``_cycle_lists``: one matrix on nested Python lists, in the row-cyclic
+  order.  ``jacobi_cycle`` runs it below ``_ROWS_FROM_N`` rows, on each
+  half in turn;
+* ``_sweep_many``: the row-cyclic order with NumPy, each rotation one set of
   operations over the members, with ``_cycle_lists``' bits and sweep counts
-  for every member, however many are still live;
-* one matrix from ``_ROWS_FROM_N`` rows up runs ``_sweep_rounds``: the
-  round-robin order of Brent & Luk (SIAM J. Sci. Stat. Comput. 6, 1985),
-  n/2 disjoint rotations per member at once, one set of NumPy operations
-  per round over every live member.
+  for every member, however many are still live.  ``jacobi_stack`` always
+  runs it, so a member's bits do not depend on the size of its stack;
+* ``_sweep_rounds``: the round-robin order of Brent & Luk (SIAM J. Sci.
+  Stat. Comput. 6, 1985), n/2 disjoint rotations per member at once, one
+  set of NumPy operations per round over every live member.
+  ``jacobi_cycle`` runs it from ``_ROWS_FROM_N`` rows up, on both halves
+  together, so each round's fixed NumPy call cost is paid once for both.
 
-``jacobi_cycle`` solves one matrix, given whole or as the two halves it
-splits into under an exchange of its rows (``linalg._parity_sweep``).  A
-whole matrix below ``_ROWS_FROM_N`` rows runs the list loop, from there up
-the rounds.  The two halves run the rounds together, as one stack of two,
-so each round's fixed NumPy call cost is paid once for both.  So below the
-boundary a matrix gets the same bits alone and in any stack; from the
-boundary up, alone, it gets other bits, which pass the same checks.  Both
-solvers copy their results back into the arrays they were given.
+The NumPy bodies keep each member as the rows of ``W = [A | V^T]``, so one
+update of rows p and q rotates A and V together.  Below the boundary a
+matrix gets the same bits alone and in any stack; from the boundary up,
+alone, it gets other bits, which pass the same checks.  Both entry points
+copy their results back into the arrays they were given.
 
 Each NumPy call costs a fixed time, so lists win for small single matrices
 and round-robin rounds for large ones.  Best of 3 to 7 runs on a 2-vCPU
@@ -32,14 +32,15 @@ about 90 ms on lists; the two are level at n = 16-17, and rounds take
 dense halves of 17, 20 or 24 rows take 3.9, 4.5 or 7.0 ms in shared rounds,
 against 6.2, 7.2 or 9.8 ms in two calls.
 
-A member zero-padded to a larger size keeps its bits in ``_sweep_many``:
-its padded pivots are +0.0 and are skipped, and its own rotations write
-+0.0 into its padding.  In ``_sweep_rounds`` the same holds, but the
-padding moves the member's rotations into other rounds, so its bits are
-those of the padded size.  ``linalg.eig_sym_many`` sorts such a stack by size,
-largest first, so the members that rotate at each pivot are a leading block,
-which ``_sweep_many`` rotates in place; members in any other order are
-gathered and scattered two rows at a time.
+A matrix zero-padded to a larger size keeps its bits in the row-cyclic
+order, on lists or in ``_sweep_many``: its padded pivots are +0.0 and are
+skipped, its own rotations write +0.0 into its padding, and its norms only
+add +0.0.  In ``_sweep_rounds`` the same holds, but the padding moves the
+member's rotations into other rounds, so its bits are those of the padded
+size.  ``linalg.eig_sym_many`` sorts a padded stack by size, largest first,
+so the members that rotate at each pivot are a leading block, which
+``_sweep_many`` rotates in place; members in any other order are gathered
+and scattered two rows at a time.
 
 Input contract: max|A| has a ``frexp`` exponent within +-450 (``linalg``
 ensures it), so ||A||_F^2 is a normal float, and an off-diagonal sum of
@@ -58,10 +59,8 @@ import numpy as np
 # Xeon VM, rounds take 1.22x the lists' time at 15 rows, 0.98-1.02x at 16
 # and 17 (3.2 ms each), 0.75x at 18 and 0.62-0.66x at 20.  17 is the lowest
 # boundary that keeps the 16-row single solves on lists with the bits they
-# share with stacks.  ``linalg._parity_sweep`` sends a block's two halves
-# to one call when its even half has this many rows: those of the sectors
-# nu = 8..12 (17-25 rows), where the odd half of an even nu is two rows
-# smaller and zero-padded.
+# share with stacks.  The sector blocks whose even half has this many rows
+# are nu = 8..12 (17-25 rows).
 _ROWS_FROM_N = 17
 
 
@@ -78,18 +77,19 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
     Frobenius norm (of either half) did not drop below ``rel_tol * ||A||_F``
     within ``max_sweeps`` sweeps.
 
-    A whole matrix below ``_ROWS_FROM_N`` rows takes the row-cyclic order,
-    from there up the round-robin order.  The halves take the round-robin
-    order together, in the same rounds, and each leaves them once it has
-    converged, as in ``jacobi_stack``; a half gets the bits it gets alone at
-    its padded size.
+    Below ``_ROWS_FROM_N`` rows each half takes the row-cyclic order on
+    lists, with the bits it gets unpadded.  From there up the halves take
+    the round-robin order together, in the same rounds, and each leaves
+    them once it has converged, as in ``jacobi_stack``; a half gets the
+    bits it gets alone at its padded size.
     """
     if a.ndim == 2:
-        if a.shape[0] < _ROWS_FROM_N:
-            return _cycle_lists(a, v, rel_tol, max_sweeps)
         a, v = a[np.newaxis], v[np.newaxis]
-    sweeps = _solve_stack(a, v, rel_tol, max_sweeps, _sweep_rounds)
-    return -1 if (sweeps < 0).any() else int(sweeps.max())
+    if a.shape[1] < _ROWS_FROM_N:
+        sweeps = [_cycle_lists(part, vecs, rel_tol, max_sweeps) for part, vecs in zip(a, v)]
+    else:
+        sweeps = _solve_stack(a, v, rel_tol, max_sweeps, _sweep_rounds).tolist()
+    return -1 if min(sweeps) < 0 else max(sweeps)
 
 
 def _angle(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
@@ -171,25 +171,21 @@ def _norms(entries, weight: float):
 
 
 def jacobi_stack(a, v, rel_tol: float, max_sweeps: int):
-    """Run ``jacobi_cycle`` on every member of the (B, n, n) float64 stack ``a``.
+    """Run row-cyclic sweeps on every member of the (B, n, n) float64 stack ``a``.
 
     ``v`` is a stack of identities that receives the rotations.  Returns an
     int64 array of B sweep counts, -1 for a member that hit ``max_sweeps``.
 
-    A stack of two or more, or one matrix below ``_ROWS_FROM_N`` rows, runs
-    ``_sweep_many`` on every sweep, whose bits equal ``_cycle_lists``': norms
+    Every sweep is ``_sweep_many``, whose bits equal ``_cycle_lists``', so a
+    member gets the same bits however many members share the stack: norms
     come from ``_norms``, a member whose pivot is zero is not rotated at all
     (a ``t = 0`` rotation can flip the sign of a zero), and rows p and q become
     ``c*w_p - s*w_q`` and ``s*w_p + c*w_q``, the list loop's values for A
-    (which stays exactly symmetric) and for V.  One matrix from
-    ``_ROWS_FROM_N`` rows up runs ``_sweep_rounds`` instead, with the same
-    norms, stopping test and cap but the round-robin order, so its bits differ
-    from the same matrix's in a larger stack.  Overflow stays silent, as in
+    (which stays exactly symmetric) and for V.  Overflow stays silent, as in
     Python float arithmetic.  A member is written back to ``a`` and ``v`` and
     leaves the stack once it has converged.
     """
-    sweep = _sweep_rounds if len(a) == 1 and a.shape[1] >= _ROWS_FROM_N else _sweep_many
-    return _solve_stack(a, v, rel_tol, max_sweeps, sweep)
+    return _solve_stack(a, v, rel_tol, max_sweeps, _sweep_many)
 
 
 def _solve_stack(a, v, rel_tol: float, max_sweeps: int, sweep):
@@ -314,7 +310,7 @@ def _sweep_rounds(w) -> None:
     """
     n = w.shape[1]
     # One member is swept as its (n, 2n) rows: NumPy runs a 1-D strided view
-    # of the pivots faster than a (1, n/2) one, and this is the common case.
+    # of the pivots faster than a (1, n/2) one.
     stack = w[0] if len(w) == 1 else w
     gather = _rounds(n)
     npairs = n // 2

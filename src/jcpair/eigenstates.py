@@ -70,12 +70,18 @@ def branch_detuning(p: SystemParams, epsilon: int) -> float:
     """Dimensionless detuning ``(delta + eps*kappa) / (2g)`` of one sector.
 
     Requires g > 0: without atom-cavity coupling the sector does not reduce
-    to the two-level form this parameter describes.
+    to the two-level form this parameter describes.  Where ``2g`` or the
+    sum overflows, both are halved first, so r takes the bits it would have
+    in an unbounded exponent range; elsewhere nothing changes.
     """
     _check_sign("epsilon", epsilon)
     if p.g == 0:
         raise ValueError("branch detuning requires g > 0")
-    return (p.delta + epsilon * p.kappa) / (2.0 * p.g)
+    num, den = p.delta + epsilon * p.kappa, 2.0 * p.g
+    if math.isinf(num) or math.isinf(den):
+        num = 0.5 * p.delta + epsilon * (0.5 * p.kappa) if math.isinf(num) else 0.5 * num
+        den = p.g
+    return num / den
 
 
 def amplitudes(r: float, epsilon: int) -> EigenAmplitudes:

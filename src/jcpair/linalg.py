@@ -4,15 +4,16 @@ This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
 every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
-``_jacobi_py`` fork.  One matrix runs ``jacobi_cycle``: Python lists below 17
-rows, and from there up round-robin rounds of NumPy calls.  A stack of two or
-more runs ``jacobi_stack`` in the row-cyclic order of the list loop, NumPy
-calls over all live members, with the list loop's bits.  So below 17 rows a
-matrix gets the same bits alone and in a stack; from 17 rows up, alone, it
-gets other bits that pass the same checks.  NumPy calls cost a fixed time
-each, so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone against
-about 90 ms as lists, while 1,000 4x4s take 10 ms as one stack against
-230-290 ms one by one.
+``_jacobi_py`` fork; that module alone picks the sweep body.  One matrix
+runs ``jacobi_cycle``: Python lists below 17 rows, and from there up
+round-robin rounds of NumPy calls.  A stack of two or more runs
+``jacobi_stack`` in the row-cyclic order of the list loop, NumPy calls over
+all live members, with the list loop's bits.  So below 17 rows a matrix
+gets the same bits alone and in a stack; from 17 rows up, alone, it gets
+other bits that pass the same checks.  NumPy calls cost a fixed time each,
+so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone against about
+90 ms as lists, while 1,000 dense 4x4s take 5-6 ms as one stack against
+99-110 ms one by one (best of 5, NumPy 2.4, commit 86afd3c and after).
 
 A :class:`SymMatrix` may carry a ``swap``: an involutive permutation of its
 rows that leaves its entries unchanged, such as the exchange of two
@@ -21,11 +22,12 @@ block.  ``eig_sym`` of one such matrix solves its even and odd halves under
 that exchange, two blocks of about n/2 rows, in place of the whole matrix
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976), and checks the
 reassembled vectors against the whole matrix.  Jacobi's cost grows as n^3,
-so each half costs about an eighth of the whole.  Halves below 17 rows take
-one ``jacobi_cycle`` call each, on lists; from 17 rows up both go to one
-call as a ``(2, m, m)`` stack, the odd half zero-padded, and are swept in
-the same round-robin rounds, so each round's NumPy calls serve both.
-Stacks ignore ``swap``.
+so each half costs about an eighth of the whole.  Both halves go to one
+``jacobi_cycle`` call as a ``(2, m, m)`` stack, the odd half zero-padded to
+the even half's m rows: below 17 rows they are swept one after the other on
+lists, each with the bits it gets unpadded, and from 17 rows up in the same
+round-robin rounds, so each round's NumPy calls serve both.  Stacks ignore
+``swap``.
 
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
 sorted by size, with each result equal to ``eig_sym`` of that matrix's
@@ -204,16 +206,13 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     partners J and the fixed points F, the even half is
     ``[[A[I,I] + A[I,J], sqrt2*A[I,F]], [sqrt2*A[F,I], A[F,F]]]`` and the odd
     half ``A[I,I] - A[I,J]``; ``m``'s invariance under ``swap`` makes both
-    exactly symmetric.  An even half below ``_ROWS_FROM_N`` rows means two
-    halves on lists, each swept by ``_sweep``.  From there up, the odd half,
-    which is never the larger, is zero-padded to the even one's size m, and
-    one ``jacobi_cycle`` call sweeps the ``(2, m, m)`` pair in shared
-    round-robin rounds; each half gets the bits it gets alone at size m.
-    The vectors are put back as ``v[I] = v[J] = x/sqrt2, v[F] = x_F``
-    (even) and ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is
-    exactly even or odd under ``swap``.  The sweep count is the larger of
-    the two, or -1 if either half hit the cap.  A ``swap`` without a pair
-    leaves ``m`` whole.
+    exactly symmetric.  The odd half, which is never the larger, is
+    zero-padded to the even one's size m, and one ``jacobi_cycle`` call
+    sweeps the ``(2, m, m)`` pair and returns one sweep count; the kernel
+    module picks how it sweeps them.  The vectors are put back as
+    ``v[I] = v[J] = x/sqrt2, v[F] = x_F`` (even) and
+    ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is exactly
+    even or odd under ``swap``.  A ``swap`` without a pair leaves ``m`` whole.
 
     ``m`` is at unit scale (``_unit_scaled``), so no sum or ``sqrt2`` product overflows.
     """
@@ -227,27 +226,17 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     # Rows and columns in the order I, F, J, so each block is a slice.
     order = np.concatenate((first, np.flatnonzero(swap == rows), swap[first]))
     g = m[order][:, order]
-    even = g[:size, :size].copy()
+    pair = np.zeros((2, size, size))
+    even = pair[0]
+    even[...] = g[:size, :size]
     even[:k, :k] += g[:k, size:]
     even[:k, k:] *= _SQRT2
     even[k:, :k] *= _SQRT2
-    odd = g[:k, :k] - g[:k, size:]
-    if size < _kernel._ROWS_FROM_N:
-        even_vals, x, even_sweeps = _sweep(even[np.newaxis])
-        odd_vals, y, odd_sweeps = _sweep(odd[np.newaxis])
-        vals = np.concatenate((even_vals, odd_vals), axis=1)
-        x, y = x[0], y[0]
-        capped = even_sweeps[0] < 0 or odd_sweeps[0] < 0
-        sweeps = -1 if capped else max(even_sweeps[0], odd_sweeps[0])
-    else:
-        # One kernel call for both halves, the odd one zero-padded to the
-        # even one's size: its padded pivots are +0.0 and are skipped.
-        pair = np.zeros((2, size, size))
-        pair[0], pair[1, :k, :k] = even, odd
-        pair_vecs = np.broadcast_to(np.eye(size), pair.shape).copy()
-        sweeps = _kernel.jacobi_cycle(pair, pair_vecs, REL_TOL, MAX_SWEEPS)
-        vals = np.concatenate((np.diagonal(pair[0]), np.diagonal(pair[1])[:k]))[np.newaxis]
-        x, y = pair_vecs[0], pair_vecs[1, :k, :k]
+    pair[1, :k, :k] = g[:k, :k] - g[:k, size:]
+    pair_vecs = np.broadcast_to(np.eye(size), pair.shape).copy()
+    sweeps = _kernel.jacobi_cycle(pair, pair_vecs, REL_TOL, MAX_SWEEPS)
+    vals = np.concatenate((np.diagonal(pair[0]), np.diagonal(pair[1])[:k]))[np.newaxis]
+    x, y = pair_vecs[0], pair_vecs[1, :k, :k]
     half_x, half_y = x[:k] / _SQRT2, y / _SQRT2
     v = np.zeros((n, n))
     v[k:size, :size] = x[k:]

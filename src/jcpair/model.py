@@ -134,7 +134,9 @@ def jc_mixing_angle(p: SystemParams, n: int) -> float:
 
     On resonance the angle is pi/4, the delta -> 0 limit for g > 0.  The
     angle is undefined when g and delta vanish together (the doublet is
-    then fully degenerate) and a ValueError is raised.
+    then fully degenerate) and a ValueError is raised.  Where ``2 g sqrt(n)``
+    overflows, g and delta are first scaled by the same power of two, which
+    leaves their ratio's bits as they would be in an unbounded exponent range.
     """
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
@@ -142,4 +144,8 @@ def jc_mixing_angle(p: SystemParams, n: int) -> float:
         raise ValueError("mixing angle undefined for g = 0 at zero detuning")
     if p.delta == 0.0:
         return 0.25 * math.pi
-    return 0.5 * math.atan(2.0 * p.g * math.sqrt(n) / p.delta)
+    g, delta = p.g, p.delta
+    if math.isinf(2.0 * g * math.sqrt(n)):
+        e = math.frexp(g)[1]
+        g, delta = math.ldexp(g, -e), math.ldexp(delta, -e)
+    return 0.5 * math.atan(2.0 * g * math.sqrt(n) / delta)

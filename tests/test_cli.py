@@ -205,6 +205,17 @@ class TestEigenstatesCommand:
         assert main(["eigenstates", "--config", cfg]) == 2
         assert "g must be > 0" in capsys.readouterr().err
 
+    def test_coupling_near_the_float_maximum(self, tmp_path, capsys):
+        # 2g overflows at 1e308; r is dimensionless, so 1/16 of it reads the same.
+        reports = []
+        for rate in (1e308, 1e308 / 16):
+            cfg = write(tmp_path / "run.cfg", f"g = {rate!r}\nkappa = {rate!r}\n")
+            assert main(["eigenstates", "--config", cfg]) == 0
+            reports.append(capsys.readouterr().out.splitlines()[1:])
+        assert reports[0] == reports[1]
+        assert reports[0][0].startswith("epsilon=+1: r=0.5 ")
+        assert reports[0][0].endswith("maximally_entangled=no")
+
 
 class TestValidateCommand:
     def test_passes_and_is_deterministic(self, tmp_path):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jcpair.eigenstates import (
@@ -12,7 +12,7 @@ from jcpair.eigenstates import (
     eigenstate_vector,
     entanglement_deviation,
 )
-from jcpair.model import SystemParams
+from jcpair.model import SystemParams, jc_mixing_angle
 from jcpair.sectors import build_hamiltonian, enumerate_sector
 from jcpair.spectrum import BRANCHES, one_excitation_energies
 
@@ -34,6 +34,47 @@ class TestBranchDetuning:
     def test_requires_coupling(self):
         with pytest.raises(ValueError, match="g"):
             branch_detuning(params(g=0.0, kappa=1.0), +1)
+
+    @pytest.mark.parametrize("omega_a, g, kappa, r", [
+        (1.5e308, 1e308, 0.0, 0.75),       # 2g overflows
+        (1e308, 1e308, 1e308, 1.0),        # so does delta + kappa
+        (1e308, 4.0, 1e308, 2.5e307),      # only delta + kappa overflows
+    ])
+    def test_terms_past_the_float_maximum(self, omega_a, g, kappa, r):
+        p = SystemParams(omega_c=0.0, omega_a=omega_a, g=g, kappa=kappa)
+        small = SystemParams(omega_c=0.0, omega_a=omega_a / 16, g=g / 16, kappa=kappa / 16)
+        assert branch_detuning(p, +1) == branch_detuning(small, +1) == r
+        assert branch_detuning(p, -1) == branch_detuning(small, -1)
+
+
+def exponent_range(*values):
+    """The k for which every nonzero one of ``values`` times 2^k is a normal float."""
+    exps = [math.frexp(x)[1] for x in values if x != 0.0]
+    return range(max(-1021 - e for e in exps), min(1024 - e for e in exps) + 1)
+
+
+moderate = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+class TestScaleCovariance:
+    """Scaling every rate by 2^k leaves r and the mixing angle bit for bit as they are."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega_c=moderate, omega_a=moderate, g=st.floats(1e-3, 1e3), kappa=moderate,
+           n=st.integers(1, 10))
+    @example(omega_c=0.0, omega_a=1.5, g=1.0, kappa=0.0, n=1)
+    @example(omega_c=-1.0, omega_a=1.0, g=1.0, kappa=2.0, n=4)
+    def test_every_normal_scale(self, omega_c, omega_a, g, kappa, n):
+        base = SystemParams(omega_c=omega_c, omega_a=omega_a, g=g, kappa=kappa)
+
+        def results(p):
+            return [branch_detuning(p, +1).hex(), branch_detuning(p, -1).hex(),
+                    jc_mixing_angle(p, n).hex()]
+
+        expected = results(base)
+        for k in exponent_range(omega_c, omega_a, g, kappa, base.delta):
+            scaled = SystemParams(*(math.ldexp(x, k) for x in (omega_c, omega_a, g, kappa)))
+            assert results(scaled) == expected, k
 
 
 class TestAmplitudes:

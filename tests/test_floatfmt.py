@@ -33,11 +33,12 @@ class TestFieldsMatchRepr:
         assert kernel_lines(values) == ["inf", "-inf", "nan", "1.5", "-0.0"]
 
     def test_spare_bytes_left_alone(self):
-        values = np.array([1e-320, -0.0, 123.5, np.inf, 1.5e300])
-        out = np.full((len(values), _floatfmt.WORDS), 0x4141414141414141, dtype="<u8")
-        _floatfmt.fields(values, out)
-        spare = out.view(np.uint8)[:, -_floatfmt.SPARE :]
-        assert (spare == ord("A")).all()
+        # Each cell's literal starts in the last SPARE bytes of its field, so a
+        # multi-byte literal comes out whole after every kind of text.
+        values = [1e-320, -0.0, 123.5, np.inf, 1.5e300]
+        literal = "\u00ab\u2192\u00bb"
+        text = "".join(_floatfmt.row_blocks(["", literal], "\n", [np.array(values)], 1 << 16))
+        assert text == "\n".join(repr(value) + literal for value in values)
 
     def test_tables_are_built_on_first_use(self):
         code = "import jcpair.cli, jcpair._floatfmt as f; print(f._tables.cache_info().currsize)"

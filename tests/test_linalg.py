@@ -328,9 +328,12 @@ def solve_both_loops(m, max_sweeps=linalg.MAX_SWEEPS):
     return [lists, (int(sweeps[0]), work[0].tobytes(), vecs[0].tobytes())]
 
 
-def ladder_matrix(nu):
-    """The sector-nu block, a ``SymMatrix`` carrying the exchange of the cells as its ``swap``."""
-    rng = random.Random(f"ladder:{nu}")
+def ladder_matrix(nu, seed=0):
+    """The sector-nu block, a ``SymMatrix`` carrying the exchange of the cells as its ``swap``.
+
+    Seed 0 draws the parameters every test uses; other seeds draw others.
+    """
+    rng = random.Random(f"ladder:{nu}:{seed}" if seed else f"ladder:{nu}")
     g = rng.uniform(0.5, 2.0)
     omega_c = rng.uniform(-2.0, 2.0)
     p = SystemParams(omega_c=omega_c, omega_a=omega_c + rng.uniform(-3.0, 3.0) * g,
@@ -541,8 +544,20 @@ class TestRoundRobin:
             )
         stack = np.stack([random_symmetric(random.Random(n + k), n).to_array() for k in range(count)])
         vecs = np.broadcast_to(np.eye(n), stack.shape).copy()
-        sweeps = linalg._kernel.jacobi_stack(stack, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        if body == "_sweep_rounds":
+            # One matrix goes to jacobi_cycle, as eig_sym sends it.
+            sweeps = linalg._kernel.jacobi_cycle(stack[0], vecs[0], linalg.REL_TOL, linalg.MAX_SWEEPS)
+        else:
+            sweeps = linalg._kernel.jacobi_stack(stack, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
         assert np.all(sweeps > 0) and bodies == {body}
+
+    @pytest.mark.parametrize("n", [ROWS_FROM_N, 21])
+    def test_stack_of_one_gets_its_stacked_bits(self, n):
+        m = random_symmetric(random.Random(4000 + n), n).to_array()
+        alone, alone_vecs = m[np.newaxis].copy(), np.eye(n)[np.newaxis]
+        alone_sweeps = linalg._kernel.jacobi_stack(alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
+        [stacked] = solve_both_loops(m)[1:]
+        assert stacked == (int(alone_sweeps[0]), alone[0].tobytes(), alone_vecs[0].tobytes())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 21, 24, 47, 48])
     def test_schedule_meets_every_pair_once(self, n):
@@ -871,11 +886,10 @@ class TestParityHalves:
         assert same.values.tobytes() == whole.values.tobytes()
         assert same.vectors.tobytes() == whole.vectors.tobytes()
 
-    # Halves below ROWS_FROM_N rows take one call each; larger ones share one
-    # call as a (2, m, m) stack.
+    # Both halves share one call as a (2, m, m) stack at every size, the odd
+    # half zero-padded to the even half's m rows.
     @pytest.mark.parametrize(
-        "n, pairs, sizes", [(2, 1, [(1, 1), (1, 1)]), (10, 3, [(7, 7), (3, 3)]),
-                            (40, 20, [(2, 20, 20)])]
+        "n, pairs, sizes", [(2, 1, [(2, 1, 1)]), (10, 3, [(2, 7, 7)]), (40, 20, [(2, 20, 20)])]
     )
     def test_each_half_through_jacobi_cycle(self, monkeypatch, n, pairs, sizes):
         m, swap = swap_invariant(4, n, pairs)
@@ -895,18 +909,44 @@ class TestParityHalves:
 
     @pytest.mark.parametrize("capped", [0, 1])
     def test_half_at_the_sweep_cap_raises(self, monkeypatch, capped):
-        m, swap = swap_invariant(5, 8, 3)
-        solve, calls = linalg._kernel.jacobi_cycle, []
-
-        def one_capped(a, v, rel_tol, max_sweeps):
-            calls.append(len(a))
-            sweeps = solve(a, v, rel_tol, max_sweeps)
-            return -1 if len(calls) == capped + 1 else sweeps
-
-        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", one_capped)
-        with pytest.raises(linalg.ConvergenceError, match="no convergence within 100 sweeps"):
+        # Only the even (0) or the odd (1) half rotates, and one sweep leaves
+        # it short of the threshold inside the one call for both halves.
+        m, swap = halves_with_one_diagonal(4, "odd" if capped == 0 else "even")
+        pairs = recorded_pairs(monkeypatch)
+        monkeypatch.setattr(linalg, "MAX_SWEEPS", 1)
+        with pytest.raises(linalg.ConvergenceError, match="no convergence within 1 sweeps"):
             eig_sym(SymMatrix(m, swap=swap))
-        assert calls == [5, 3]
+        [(given, _, _, sweeps)] = pairs
+        assert given.shape == (2, 4, 4) and sweeps == -1
+        each = [linalg._kernel._cycle_lists(half.copy(), np.eye(4), linalg.REL_TOL, 1) for half in given]
+        assert each == ([-1, 0] if capped == 0 else [0, -1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("nu", range(1, 8))
+    def test_list_halves_get_their_bits_unpadded(self, monkeypatch, nu, seed):
+        # Below ROWS_FROM_N rows the one call sweeps each half on lists; at
+        # an even nu the odd half is 2 rows smaller and zero-padded.
+        block = ladder_matrix(nu, seed)
+        pairs = recorded_pairs(monkeypatch)
+        system = eig_sym(block)
+        monkeypatch.undo()
+        [(given, swept, vecs, sweeps)] = pairs
+        k = int(np.count_nonzero(block.swap > np.arange(block.n)))
+        size = block.n - k
+        assert given.shape == (2, size, size) and size - k == (2 if nu % 2 == 0 else 0)
+        alone_sweeps = []
+        for half, rows in enumerate((size, k)):
+            alone, alone_vecs = given[half, :rows, :rows].copy(), np.eye(rows)
+            alone_sweeps.append(linalg._kernel._cycle_lists(
+                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS))
+            padded, padded_vecs = np.zeros((size, size)), np.eye(size)
+            padded[:rows, :rows], padded_vecs[:rows, :rows] = alone, alone_vecs
+            assert swept[half].tobytes() == padded.tobytes()
+            assert vecs[half].tobytes() == padded_vecs.tobytes()
+            assert linalg._kernel._cycle_lists(
+                given[half].copy(), np.eye(size), linalg.REL_TOL, linalg.MAX_SWEEPS
+            ) == alone_sweeps[-1]
+        assert sweeps == system.sweeps == max(alone_sweeps) > 0
 
     @pytest.mark.parametrize("entries", [[[0.0, 1.0], [1.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]],
                                          [[1.0, -1.0], [-1.0, 1.0]]])
@@ -981,7 +1021,7 @@ def each_half(pair, max_sweeps):
 
 
 class TestParityPairedRounds:
-    """Halves from ``ROWS_FROM_N`` rows share one ``jacobi_cycle`` call, as a (2, m, m) stack."""
+    """Halves from ``ROWS_FROM_N`` rows are swept in shared round-robin rounds."""
 
     @pytest.mark.parametrize("nu", [9, 11])
     def test_equal_halves_get_their_bits_alone(self, monkeypatch, nu):

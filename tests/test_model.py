@@ -131,6 +131,12 @@ class TestMixingAngle:
         with pytest.raises(ValueError, match="undefined"):
             jc_mixing_angle(params(delta=0.0, g=0.0), 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_doubled_coupling_past_the_float_maximum(self, n):
+        angle = jc_mixing_angle(params(delta=1.5e308, g=1e308), n)
+        assert angle == jc_mixing_angle(params(delta=1.5e308 / 16, g=1e308 / 16), n)
+        assert angle == pytest.approx(0.5 * math.atan(2 * math.sqrt(n) / 1.5))
+
     @given(delta=st.floats(-100, 100), g=st.floats(0, 20), n=st.integers(1, 10))
     def test_range(self, delta, g, n):
         if g == 0 and delta == 0:
