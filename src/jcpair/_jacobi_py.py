@@ -2,8 +2,9 @@
 
 Two entry points, and this module alone picks the sweep body of each.
 ``jacobi_stack`` solves a ``(B, n, n)`` stack of matrices; ``jacobi_cycle``
-solves one matrix, given whole or as the two halves it splits into under an
-exchange of its rows (``linalg._parity_sweep``).  There are three bodies:
+solves one matrix as the two halves it splits into under an exchange of its
+rows (``linalg._parity_sweep``; a matrix that exchanges no rows is its even
+half, beside an all-zero odd half).  There are three bodies:
 
 * ``_cycle_lists``: one matrix on nested Python lists, in the row-cyclic
   order.  ``jacobi_cycle`` runs it below ``_ROWS_FROM_N`` rows, on each
@@ -65,17 +66,17 @@ _ROWS_FROM_N = 17
 
 
 def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
-    """Run cyclic Jacobi sweeps in place on one matrix, whole or as its two halves.
+    """Run cyclic Jacobi sweeps in place on one matrix, given as its two halves.
 
-    ``a`` is one matrix, given whole as an (n, n) float64 array, or as its
-    two exchange halves, a (2, m, m) stack whose smaller half is
-    zero-padded to m (``linalg._parity_sweep``).  Rotations are accumulated
-    into ``v`` (the identity, or a stack of two), so on return the columns
-    of ``v`` are eigenvectors and the diagonal of ``a`` holds the
-    eigenvalues, unsorted.  Returns one int: the number of sweeps, for the
-    halves the larger of their two counts, or -1 if the off-diagonal
-    Frobenius norm (of either half) did not drop below ``rel_tol * ||A||_F``
-    within ``max_sweeps`` sweeps.
+    ``a`` is a (2, m, m) float64 stack: the even and odd halves of one
+    matrix under an exchange of its rows, the smaller half zero-padded to m
+    (``linalg._parity_sweep``).  Rotations are accumulated into ``v``, a
+    stack of two identities, so on return the columns of each ``v[h]`` are
+    eigenvectors of half h and the diagonal of ``a[h]`` holds its
+    eigenvalues, unsorted.  Returns one int: the larger of the two halves'
+    sweep counts, or -1 if the off-diagonal Frobenius norm of either half
+    did not drop below ``rel_tol * ||A||_F`` within ``max_sweeps`` sweeps.
+    An all-zero half converges at sweep 0, so it adds no sweep.
 
     Below ``_ROWS_FROM_N`` rows each half takes the row-cyclic order on
     lists, with the bits it gets unpadded.  From there up the halves take
@@ -83,8 +84,6 @@ def jacobi_cycle(a, v, rel_tol: float, max_sweeps: int) -> int:
     them once it has converged, as in ``jacobi_stack``; a half gets the
     bits it gets alone at its padded size.
     """
-    if a.ndim == 2:
-        a, v = a[np.newaxis], v[np.newaxis]
     if a.shape[1] < _ROWS_FROM_N:
         sweeps = [_cycle_lists(part, vecs, rel_tol, max_sweeps) for part, vecs in zip(a, v)]
     else:

@@ -3,31 +3,32 @@
 This is the numeric oracle every closed form in the package is checked
 against, so the algorithm (cyclic Jacobi) lives in this repository instead
 of delegating to an external LAPACK-backed routine.  ``eig_sym`` checks
-every input as a ``(B, n, n)`` stack on one path, and only the sweeps in
-``_jacobi_py`` fork; that module alone picks the sweep body.  One matrix
-runs ``jacobi_cycle``: Python lists below 17 rows, and from there up
-round-robin rounds of NumPy calls.  A stack of two or more runs
-``jacobi_stack`` in the row-cyclic order of the list loop, NumPy calls over
-all live members, with the list loop's bits.  So below 17 rows a matrix
-gets the same bits alone and in a stack; from 17 rows up, alone, it gets
-other bits that pass the same checks.  NumPy calls cost a fixed time each,
-so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone against about
-90 ms as lists, while 1,000 dense 4x4s take 5-6 ms as one stack against
-99-110 ms one by one (best of 5, NumPy 2.4, commit 86afd3c and after).
+every input as a ``(B, n, n)`` stack on one path; ``_jacobi_py`` alone
+picks the sweep body.  A stack of two or more runs ``jacobi_stack`` in the
+row-cyclic order of the list loop, NumPy calls over all live members, with
+the list loop's bits.  One matrix, alone or as a stack of one, runs
+``jacobi_cycle`` as its even and odd halves (below): Python lists below 17
+rows, and from there up round-robin rounds of NumPy calls.  So below 17
+rows a matrix gets the same bits alone and in a stack; from 17 rows up,
+alone, it gets other bits that pass the same checks.  NumPy calls cost a
+fixed time each, so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone
+against about 90 ms as lists, while 1,000 dense 4x4s take 5-6 ms as one
+stack against about 150 ms one by one (best of 5, NumPy 2.4).
 
 A :class:`SymMatrix` may carry a ``swap``: an involutive permutation of its
 rows that leaves its entries unchanged, such as the exchange of two
 identical cells that ``sectors.build_hamiltonian`` attaches to a sector
-block.  ``eig_sym`` of one such matrix solves its even and odd halves under
-that exchange, two blocks of about n/2 rows, in place of the whole matrix
+block.  ``eig_sym`` of one matrix solves its even and odd halves under that
+exchange, two blocks of about n/2 rows, in place of the whole matrix
 (Cantoni & Butler, Linear Algebra Appl. 13, 1976), and checks the
 reassembled vectors against the whole matrix.  Jacobi's cost grows as n^3,
 so each half costs about an eighth of the whole.  Both halves go to one
 ``jacobi_cycle`` call as a ``(2, m, m)`` stack, the odd half zero-padded to
 the even half's m rows: below 17 rows they are swept one after the other on
 lists, each with the bits it gets unpadded, and from 17 rows up in the same
-round-robin rounds, so each round's NumPy calls serve both.  Stacks ignore
-``swap``.
+round-robin rounds, so each round's NumPy calls serve both.  Without a
+``swap`` the even half is the whole matrix and the odd half, all zero,
+converges at sweep 0.  Stacks of two or more ignore ``swap``.
 
 ``eig_sym_many`` solves matrices of mixed sizes as one zero-padded stack,
 sorted by size, with each result equal to ``eig_sym`` of that matrix's
@@ -169,15 +170,13 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
     """Full eigendecomposition of a symmetric matrix, or a stack, by cyclic Jacobi.
 
     A :class:`SymMatrix` or 2-D input is one matrix; a 3-D ``(B, n, n)``
-    array is a stack, symmetrized and checked member by member.  A stack of
-    one is solved as that matrix alone.  In a larger stack, a member below
-    17 rows gets the bits of solving it alone; a member from 17 rows up takes
-    the row-cyclic order, while alone it takes the round-robin order, so its
-    bits differ and both pass the checks below.
-
-    A :class:`SymMatrix` with a ``swap`` that moves at least one row is
-    solved as its even and odd halves (see :func:`_parity_sweep`), and
-    checked whole.  Stacks ignore ``swap``.
+    array is a stack, symmetrized and checked member by member.  One matrix,
+    or a stack of one, is solved as its even and odd halves under its
+    ``swap`` (see :func:`_parity_sweep`; without a ``swap`` the even half is
+    the whole matrix) and checked whole.  In a larger stack, which ignores
+    ``swap``, a member below 17 rows gets the bits of solving it alone; a
+    member from 17 rows up takes the row-cyclic order, while alone it takes
+    the round-robin order, so its bits differ and both pass the checks below.
 
     The returned decomposition is verified before it is handed back, at unit
     scale (see :func:`_unit_scaled`): ``||V^T V - I||_max <= 1e-12`` and
@@ -192,18 +191,18 @@ def eig_sym(a: SymMatrix | np.ndarray) -> EigenSystem:
         sym, exps, peak = _unit_scaled(_symmetrized(a, 3))
         return _checked(sym, *_sweep(sym), exps, peak, np.arange(len(sym)))
     sym, exps, peak = _unit_scaled(a._m[np.newaxis])
-    solved = _sweep(sym) if a._swap is None else _parity_sweep(sym[0], a._swap)
-    return _member(_checked(sym, *solved, exps, peak, None), 0)
+    return _member(_checked(sym, *_sweep(sym, a._swap), exps, peak, None), 0)
 
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _parity_sweep(m: np.ndarray, swap: np.ndarray):
+def _parity_sweep(m: np.ndarray, swap: np.ndarray | None):
     """``_sweep`` of the (n, n) ``m`` as its two halves under the exchange ``swap``.
 
     With pairs ``(i, j = swap[i])``, ``i < j``, their first members I, their
-    partners J and the fixed points F, the even half is
+    partners J and the fixed points F (every row if ``swap`` is None, which
+    exchanges no pair), the even half is
     ``[[A[I,I] + A[I,J], sqrt2*A[I,F]], [sqrt2*A[F,I], A[F,F]]]`` and the odd
     half ``A[I,I] - A[I,J]``; ``m``'s invariance under ``swap`` makes both
     exactly symmetric.  The odd half, which is never the larger, is
@@ -212,16 +211,18 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray):
     module picks how it sweeps them.  The vectors are put back as
     ``v[I] = v[J] = x/sqrt2, v[F] = x_F`` (even) and
     ``v[I] = y/sqrt2, v[J] = -y/sqrt2`` (odd), so each column is exactly
-    even or odd under ``swap``.  A ``swap`` without a pair leaves ``m`` whole.
+    even or odd under ``swap``.  Without a pair, the even half is ``m`` in
+    its own order and the odd half is all zero; it converges at sweep 0, so
+    the sweep count is ``m``'s own.
 
     ``m`` is at unit scale (``_unit_scaled``), so no sum or ``sqrt2`` product overflows.
     """
     n = len(m)
     rows = np.arange(n)
+    if swap is None:
+        swap = rows
     first = np.flatnonzero(swap > rows)
     k = len(first)
-    if not k:
-        return _sweep(m[np.newaxis])
     size = n - k
     # Rows and columns in the order I, F, J, so each block is a slice.
     order = np.concatenate((first, np.flatnonzero(swap == rows), swap[first]))
@@ -320,20 +321,18 @@ def _unit_scaled(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sym, exps, peak
 
 
-def _sweep(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel call: Jacobi sweeps on a copy of the (B, n, n) stack ``sym``.
+def _sweep(sym: np.ndarray, swap: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobi sweeps on a copy of the (B, n, n) stack ``sym``: ``jacobi_stack``,
+    or for a stack of one :func:`_parity_sweep` under ``swap``.
 
     Returns the (B, n) diagonals of the swept matrices (the unsorted
     eigenvalues), the accumulated rotations and B sweep counts.
     """
-    count, n = sym.shape[0], sym.shape[1]
+    if len(sym) == 1:
+        return _parity_sweep(sym[0], swap)
     work = sym.copy()
-    if count == 1:
-        vecs = np.eye(n)[np.newaxis]
-        sweeps = np.array([_kernel.jacobi_cycle(work[0], vecs[0], REL_TOL, MAX_SWEEPS)])
-    else:
-        vecs = np.broadcast_to(np.eye(n), sym.shape).copy()
-        sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
+    vecs = np.broadcast_to(np.eye(sym.shape[1]), sym.shape).copy()
+    sweeps = _kernel.jacobi_stack(work, vecs, REL_TOL, MAX_SWEEPS)
     return np.diagonal(work, axis1=1, axis2=2), vecs, sweeps
 
 

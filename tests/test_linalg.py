@@ -106,7 +106,7 @@ class TestEigSym:
 
         def nan_on_diagonal(a, v, tol, cap):
             sweeps = cycle(a, v, tol, cap)
-            a[2, 2] = math.nan
+            a[0, 2, 2] = math.nan
             return sweeps
 
         monkeypatch.setattr(linalg._kernel, "jacobi_cycle", nan_on_diagonal)
@@ -198,7 +198,7 @@ class TestPinnedBits:
     @pytest.mark.parametrize("n,sweeps,digest", PINNED_SINGLE)
     def test_sweeps_and_output_bits(self, n, sweeps, digest):
         a = random_symmetric(random.Random(1000 + n), n)
-        work, vecs = a.to_array(), np.eye(n)
+        work, vecs = a.to_array()[np.newaxis], np.eye(n)[np.newaxis]
         assert linalg._kernel.jacobi_cycle(work, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS) == sweeps
         system = eig_sym(a)
         bits = system.values.tobytes() + system.vectors.tobytes()
@@ -244,7 +244,7 @@ class TestStackedKernel:
         for i in range(count):
             alone, alone_vecs = stack[i].copy(), np.eye(n)
             assert sweeps[i] == linalg._kernel.jacobi_cycle(
-                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
+                alone[np.newaxis], alone_vecs[np.newaxis], linalg.REL_TOL, linalg.MAX_SWEEPS
             )
             assert work[i].tobytes() == alone.tobytes()
             assert vecs[i].tobytes() == alone_vecs.tobytes()
@@ -485,17 +485,19 @@ class TestRoundRobin:
         m, max_sweeps = case
         n = len(m)
         work, vecs = m.copy(), np.eye(n)
-        sweeps = linalg._kernel.jacobi_cycle(work, vecs, linalg.REL_TOL, max_sweeps)
+        sweeps = linalg._kernel.jacobi_cycle(
+            work[np.newaxis], vecs[np.newaxis], linalg.REL_TOL, max_sweeps
+        )
         assert np.isfinite(work).all() and np.isfinite(vecs).all()
         assert work.tobytes() == work.T.tobytes()
         if not np.count_nonzero(m - np.diag(np.diagonal(m))):
             assert sweeps == 0
             assert work.tobytes() == m.tobytes() and vecs.tobytes() == np.eye(n).tobytes()
             return
-        if max_sweeps < linalg.MAX_SWEEPS:
-            assert sweeps == -1
+        if max_sweeps < linalg.MAX_SWEEPS and sweeps == -1:
             return
-        assert sweeps > 0
+        # One sweep can be enough for a sparse matrix, so a cap of 1 may be met.
+        assert 0 < sweeps <= max_sweeps
         system = eig_sym(m)  # raises unless both checks pass
         assert system.sweeps == sweeps
         expected = np.linalg.eigvalsh(m)
@@ -546,7 +548,7 @@ class TestRoundRobin:
         vecs = np.broadcast_to(np.eye(n), stack.shape).copy()
         if body == "_sweep_rounds":
             # One matrix goes to jacobi_cycle, as eig_sym sends it.
-            sweeps = linalg._kernel.jacobi_cycle(stack[0], vecs[0], linalg.REL_TOL, linalg.MAX_SWEEPS)
+            sweeps = linalg._kernel.jacobi_cycle(stack[:1], vecs[:1], linalg.REL_TOL, linalg.MAX_SWEEPS)
         else:
             sweeps = linalg._kernel.jacobi_stack(stack, vecs, linalg.REL_TOL, linalg.MAX_SWEEPS)
         assert np.all(sweeps > 0) and bodies == {body}
@@ -576,7 +578,9 @@ class TestRoundRobin:
         m = random_symmetric(random.Random(1018), 18).to_array()
         solved = []
         for order_a, order_v in ("CC", "FC", "CF", "FF"):
-            a, v = np.array(m, order=order_a), np.array(np.eye(18), order=order_v)
+            a = np.array(m, order=order_a)[np.newaxis]
+            v = np.array(np.eye(18), order=order_v)[np.newaxis]
+            assert a.flags.c_contiguous == (order_a == "C") and v.flags.c_contiguous == (order_v == "C")
             sweeps = linalg._kernel.jacobi_cycle(a, v, linalg.REL_TOL, linalg.MAX_SWEEPS)
             solved.append((sweeps, a.tobytes(), v.tobytes()))
         assert solved[0][0] > 0 and all(each == solved[0] for each in solved)
@@ -802,7 +806,7 @@ class TestZeroPivotBranches:
         for member, n in enumerate(sizes):
             alone, alone_vecs = stack[member, :n, :n].copy(), np.eye(n)
             assert sweeps[member] == linalg._kernel.jacobi_cycle(
-                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS
+                alone[np.newaxis], alone_vecs[np.newaxis], linalg.REL_TOL, linalg.MAX_SWEEPS
             )
             assert work[member, :n, :n].tobytes() == alone.tobytes()
             assert vecs[member, :n, :n].tobytes() == alone_vecs.tobytes()
@@ -1004,8 +1008,7 @@ def recorded_pairs(monkeypatch):
     def recorded(a, v, rel_tol, max_sweeps):
         given = a.copy()
         sweeps = solve(a, v, rel_tol, max_sweeps)
-        if a.ndim == 3:
-            pairs.append((given, a.copy(), v.copy(), sweeps))
+        pairs.append((given, a.copy(), v.copy(), sweeps))
         return sweeps
 
     monkeypatch.setattr(linalg._kernel, "jacobi_cycle", recorded)
@@ -1036,7 +1039,7 @@ class TestParityPairedRounds:
         for half in range(2):
             alone, alone_vecs = given[half].copy(), np.eye(m)
             alone_sweeps.append(linalg._kernel.jacobi_cycle(
-                alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS))
+                alone[np.newaxis], alone_vecs[np.newaxis], linalg.REL_TOL, linalg.MAX_SWEEPS))
             assert swept[half].tobytes() == alone.tobytes()
             assert vecs[half].tobytes() == alone_vecs.tobytes()
         assert each.tolist() == alone_sweeps and sweeps == max(alone_sweeps) > 0
@@ -1052,7 +1055,8 @@ class TestParityPairedRounds:
         size = given.shape[1]
         alone, alone_vecs = given[live].copy(), np.eye(size)
         assert sweeps == linalg._kernel.jacobi_cycle(
-            alone, alone_vecs, linalg.REL_TOL, linalg.MAX_SWEEPS) == system.sweeps > 0
+            alone[np.newaxis], alone_vecs[np.newaxis], linalg.REL_TOL, linalg.MAX_SWEEPS
+        ) == system.sweeps > 0
         assert each_half(given, linalg.MAX_SWEEPS)[1 - live] == 0
         assert swept[live].tobytes() == alone.tobytes()
         assert vecs[live].tobytes() == alone_vecs.tobytes()
@@ -1187,6 +1191,71 @@ class TestKernelChoice:
         monkeypatch.setattr(linalg._kernel, "jacobi_cycle", refuse)
         system = eig_sym(np.stack([np.eye(3), np.ones((3, 3))]))
         assert system.values.shape == (2, 3)
+
+
+# SHA-256 of each n's sweeps (4 bytes, little-endian), values and vectors for
+# the dense matrices of ``one_route_matrix``, n = 1..48, recorded at commit
+# 695f531, before a matrix without a swap went through the halves code.
+ONE_ROUTE_DIGEST = "e078c17998251983d939221252a5ca19174acccd59ec2b5f89aff81fafff0459"
+
+# Each way to solve one matrix, returning an ``EigenSystem`` of that matrix.
+ENTRY_FORMS = (
+    lambda m: eig_sym(SymMatrix(m)),
+    eig_sym,
+    lambda m: linalg._member(eig_sym(m[np.newaxis]), 0),
+    lambda m: eig_sym_many([m])[0],
+    lambda m: eig_sym(SymMatrix(m, swap=np.arange(len(m)))),  # moves no row
+)
+
+
+def one_route_matrix(n):
+    b = np.random.default_rng(5000 + n).uniform(-5.0, 5.0, (n, n))
+    return 0.5 * (b + b.T)
+
+
+class TestOneRoute:
+    """Every single matrix is one ``jacobi_cycle`` call of a ``(2, n, n)`` pair of halves.
+
+    Without a ``swap`` (or with one that moves no row) the even half is the
+    whole matrix and the odd half is all zero.
+    """
+
+    def test_each_entry_form_makes_one_paired_call(self, monkeypatch):
+        solve, shapes = linalg._kernel.jacobi_cycle, []
+
+        def recorded(a, v, rel_tol, max_sweeps):
+            shapes.append(a.shape)
+            return solve(a, v, rel_tol, max_sweeps)
+
+        def refuse(*args):
+            raise AssertionError("jacobi_stack called for one matrix")
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", recorded)
+        monkeypatch.setattr(linalg._kernel, "jacobi_stack", refuse)
+        digest = hashlib.sha256()
+        for n in range(1, 49):
+            m = one_route_matrix(n)
+            solved = []
+            for form in ENTRY_FORMS:
+                shapes.clear()
+                system = form(m)
+                assert shapes == [(2, n, n)]
+                solved.append((system.sweeps, system.values.tobytes(), system.vectors.tobytes()))
+            assert all(each == solved[0] for each in solved), n
+            sweeps, values, vectors = solved[0]
+            digest.update(sweeps.to_bytes(4, "little") + values + vectors)
+        assert digest.hexdigest() == ONE_ROUTE_DIGEST
+
+    @pytest.mark.parametrize("nu", [3, 9])
+    def test_stack_of_two_never_calls_jacobi_cycle(self, monkeypatch, nu):
+        def refuse(*args):
+            raise AssertionError("jacobi_cycle called for a stack of two")
+
+        monkeypatch.setattr(linalg._kernel, "jacobi_cycle", refuse)
+        block = ladder_matrix(nu)
+        other = ladder_matrix(nu, seed=1)
+        assert eig_sym(np.stack([block.to_array(), other.to_array()])).sweeps.min() > 0
+        assert min(system.sweeps for system in eig_sym_many([block, other])) > 0
 
 
 class TestSweepsReported:
