@@ -79,7 +79,9 @@ def branch_detuning(p: SystemParams, epsilon: int) -> float:
         raise ValueError("branch detuning requires g > 0")
     num, den = p.delta + epsilon * p.kappa, 2.0 * p.g
     if math.isinf(num) or math.isinf(den):
-        num = 0.5 * p.delta + epsilon * (0.5 * p.kappa) if math.isinf(num) else 0.5 * num
+        # Where delta itself overflows, half of it is exact from the frequencies.
+        half_delta = 0.5 * p.omega_a - 0.5 * p.omega_c if math.isinf(p.delta) else 0.5 * p.delta
+        num = half_delta + epsilon * (0.5 * p.kappa) if math.isinf(num) else 0.5 * num
         den = p.g
     return num / den
 

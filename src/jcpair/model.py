@@ -145,6 +145,9 @@ def jc_mixing_angle(p: SystemParams, n: int) -> float:
     if p.delta == 0.0:
         return 0.25 * math.pi
     g, delta = p.g, p.delta
+    if math.isinf(delta):
+        # Halving g and the frequencies is exact and keeps the ratio's bits.
+        g, delta = 0.5 * g, 0.5 * p.omega_a - 0.5 * p.omega_c
     if math.isinf(2.0 * g * math.sqrt(n)):
         e = math.frexp(g)[1]
         g, delta = math.ldexp(g, -e), math.ldexp(delta, -e)

@@ -214,6 +214,16 @@ class TestEigenstatesCommand:
             reports.append(capsys.readouterr().out.splitlines()[1:])
         assert reports[0] == reports[1]
         assert reports[0][0].startswith("epsilon=+1: r=0.5 ")
+
+    def test_detuning_past_the_float_maximum(self, tmp_path, capsys):
+        # omega_a - omega_c overflows at 1e308; the 1e307 run shows the same r.
+        reports = []
+        for rate in (1e308, 1e307):
+            cfg = write(tmp_path / "run.cfg", f"omega_c = {-rate!r}\nomega_a = {rate!r}\ng = {rate!r}\n")
+            assert main(["eigenstates", "--config", cfg]) == 0
+            reports.append(capsys.readouterr().out.splitlines()[1:])
+        assert reports[0] == reports[1]
+        assert reports[0][0] == "epsilon=+1: r=1.0 entanglement_deviation=0.3535533905932738 maximally_entangled=no"
         assert reports[0][0].endswith("maximally_entangled=no")
 
 

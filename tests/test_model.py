@@ -137,6 +137,12 @@ class TestMixingAngle:
         assert angle == jc_mixing_angle(params(delta=1.5e308 / 16, g=1e308 / 16), n)
         assert angle == pytest.approx(0.5 * math.atan(2 * math.sqrt(n) / 1.5))
 
+    def test_detuning_past_the_float_maximum(self):
+        # omega_a - omega_c = 2e308 overflows; 2g/delta = 1 still gives pi/8.
+        p = SystemParams(omega_c=-1e308, omega_a=1e308, g=1e308, kappa=0.0)
+        assert math.isinf(p.delta)
+        assert jc_mixing_angle(p, 1) == math.pi / 8
+
     @given(delta=st.floats(-100, 100), g=st.floats(0, 20), n=st.integers(1, 10))
     def test_range(self, delta, g, n):
         if g == 0 and delta == 0:
