@@ -12,7 +12,6 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -32,52 +31,40 @@ from .susceptibility import (
 __all__ = ["main", "build_parser"]
 
 
-def _literal(text: str) -> str:
-    """``text`` as a part of a %-template that formats to itself."""
-    return text.replace("%", "%%")
-
-
 # Rows are formatted and written one block at a time, so the memory a data
 # file takes is one block's, whatever the row count.  No per-row object is
 # built, and no whole-text template, flattened cell tuple or growing buffer
 # is allocated: freed and reused by the heap, those made a process's peak
 # memory differ by tens of MB from one run of the same commands to the next.
 # A block holds _BLOCK_CELLS cells, so a file with w columns takes
-# _BLOCK_CELLS // w rows at a time (at least one).  Float64 array columns
-# (all sweep data) go through _floatfmt's NumPy repr kernel, which needs
-# about 10 words per cell (14 with JSON's literals) and pays a fixed cost
-# per call, so the budget is as large as the memory test allows: a
-# 60,001-row spectrum CSV peaks at about 0.57 MB while it is written,
-# tables included.  Other columns go through one %-template per block.
+# _BLOCK_CELLS // w rows at a time (at least one).  The columns of every
+# data file are float64 arrays and go through _floatfmt's NumPy repr
+# kernel, which needs about 10 words per cell (14 with JSON's literals) and
+# pays a fixed cost per call, so the budget is as large as the memory test
+# allows: a 60,001-row spectrum CSV peaks at about 0.57 MB while it is
+# written, tables included.  The few rows of the eigenstates CSV, of mixed
+# types, are joined whole by _csv_text.
 _BLOCK_CELLS = 5400
 
 
-def _row_blocks(pieces: list[str], sep: str, columns: list) -> Iterator[str]:
-    """The rows of equal-length columns (arrays or lists), each cell's ``%s``
+def _row_blocks(pieces: list[str], sep: str, columns: list[np.ndarray]) -> Iterator[str]:
+    """The rows of equal-length float64 columns, each cell's ``repr``
     between the literal ``pieces`` (one more than there are columns) and
     the rows separated by ``sep``, one block of up to ``_BLOCK_CELLS``
     cells (whole rows, at least one) at a time."""
-    rows = max(1, _BLOCK_CELLS // len(columns))
-    if all(isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns):
-        yield from _floatfmt.row_blocks(pieces, sep, columns, rows)
-        return
-    template = _literal(sep + pieces[0]) + "".join("%s" + _literal(piece) for piece in pieces[1:])
-    for start in range(0, len(columns[0]), rows):
-        parts = [col[start : start + rows] for col in columns]
-        lists = [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
-        block = template * len(lists[0]) % tuple(chain.from_iterable(zip(*lists)))
-        yield block[len(sep) :] if start == 0 else block
+    return _floatfmt.row_blocks(pieces, sep, columns, max(1, _BLOCK_CELLS // len(columns)))
 
 
-def _csv_parts(header: list[str], columns: list) -> Iterator[str]:
-    """The header line and data rows of a CSV file, in parts formatted as
-    they are taken."""
+def _csv_parts(header: list[str], columns: list[np.ndarray]) -> Iterator[str]:
+    """The header line and data rows of a CSV file of float64 columns, in
+    parts formatted as they are taken."""
     yield ",".join(header) + "\n"
     yield from _row_blocks([""] + [","] * (len(header) - 1) + ["\n"], "", columns)
 
 
 def _csv_text(header: list[str], columns: list) -> str:
-    return "".join(_csv_parts(header, columns))
+    """A short CSV text of equal-length columns of any cells, each cell's ``str``."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *zip(*columns)])
 
 
 def _json_parts(payload: dict, header: list[str] | None = None) -> Iterator[str]:
@@ -103,10 +90,10 @@ def _json_text(payload: dict, header: list[str] | None = None) -> str:
     """``json.dumps(payload, indent=2)`` plus a newline.
 
     With ``header`` (distinct names), ``payload["data"]`` holds nonempty
-    equal-length columns and is written as the row objects
+    equal-length float64 columns and is written as the row objects
     ``dict(zip(header, row))`` would be: keys through ``json.dumps``, values
     through ``float.__repr__``, as the encoder writes them.  The values
-    must be finite numbers.
+    must be finite.
     """
     return "".join(_json_parts(payload, header))
 

@@ -71,7 +71,8 @@ def branch_detuning(p: SystemParams, epsilon: int) -> float:
 
     Requires g > 0: without atom-cavity coupling the sector does not reduce
     to the two-level form this parameter describes.  Where ``2g`` or the
-    sum overflows, both are halved first, so r takes the bits it would have
+    sum overflows, both are halved first (delta as ``p.half_delta``, which
+    holds where delta itself overflows), so r takes the bits it would have
     in an unbounded exponent range; elsewhere nothing changes.
     """
     _check_sign("epsilon", epsilon)
@@ -79,9 +80,7 @@ def branch_detuning(p: SystemParams, epsilon: int) -> float:
         raise ValueError("branch detuning requires g > 0")
     num, den = p.delta + epsilon * p.kappa, 2.0 * p.g
     if math.isinf(num) or math.isinf(den):
-        # Where delta itself overflows, half of it is exact from the frequencies.
-        half_delta = 0.5 * p.omega_a - 0.5 * p.omega_c if math.isinf(p.delta) else 0.5 * p.delta
-        num = half_delta + epsilon * (0.5 * p.kappa) if math.isinf(num) else 0.5 * num
+        num = p.half_delta + epsilon * (0.5 * p.kappa) if math.isinf(num) else 0.5 * num
         den = p.g
     return num / den
 

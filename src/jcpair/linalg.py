@@ -13,7 +13,7 @@ rows a matrix gets the same bits alone and in a stack; from 17 rows up,
 alone, it gets other bits that pass the same checks.  NumPy calls cost a
 fixed time each, so on a 2-vCPU Xeon VM a dense 48x48 takes 17-40 ms alone
 against about 90 ms as lists, while 1,000 dense 4x4s take 5-6 ms as one
-stack against about 150 ms one by one (best of 5, NumPy 2.4).
+stack against about 135 ms one by one (best of 5, NumPy 2.4).
 
 A :class:`SymMatrix` may carry a ``swap``: an involutive permutation of its
 rows that leaves its entries unchanged, such as the exchange of two
@@ -221,12 +221,12 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray | None):
     rows = np.arange(n)
     if swap is None:
         swap = rows
-    first = np.flatnonzero(swap > rows)
+    first = (swap > rows).nonzero()[0]
     k = len(first)
     size = n - k
     # Rows and columns in the order I, F, J, so each block is a slice.
-    order = np.concatenate((first, np.flatnonzero(swap == rows), swap[first]))
-    g = m[order][:, order]
+    order = np.concatenate((first, (swap == rows).nonzero()[0], swap[first]))
+    g = m[order[:, np.newaxis], order]
     pair = np.zeros((2, size, size))
     even = pair[0]
     even[...] = g[:size, :size]
@@ -234,7 +234,7 @@ def _parity_sweep(m: np.ndarray, swap: np.ndarray | None):
     even[:k, k:] *= _SQRT2
     even[k:, :k] *= _SQRT2
     pair[1, :k, :k] = g[:k, :k] - g[:k, size:]
-    pair_vecs = np.broadcast_to(np.eye(size), pair.shape).copy()
+    pair_vecs = np.eye(size)[np.newaxis].repeat(2, axis=0)
     sweeps = _kernel.jacobi_cycle(pair, pair_vecs, REL_TOL, MAX_SWEEPS)
     vals = np.concatenate((np.diagonal(pair[0]), np.diagonal(pair[1])[:k]))[np.newaxis]
     x, y = pair_vecs[0], pair_vecs[1, :k, :k]

@@ -10,6 +10,7 @@ concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,6 +56,18 @@ class SystemParams:
     def delta(self) -> float:
         """Atom-cavity detuning ``omega_a - omega_c``."""
         return self.omega_a - self.omega_c
+
+    @property
+    def half_delta(self) -> float:
+        """``delta / 2``, finite even where ``delta`` overflows.
+
+        There it is ``omega_a/2 - omega_c/2``, which is exact for normal
+        frequencies, so it equals the halved detuning wherever both exist.
+        """
+        delta = self.delta
+        if math.isinf(delta):
+            return 0.5 * self.omega_a - 0.5 * self.omega_c
+        return 0.5 * delta
 
 
 @dataclass(frozen=True)
@@ -120,12 +133,21 @@ def jc_doublet_energies(p: SystemParams, n: int) -> tuple[float, float]:
     """Energies ``(upper, lower)`` of the n-th single-cell doublet.
 
     ``n*omega_c +/- sqrt(n g^2 + delta^2/4)`` for n >= 1; the n = 0 level
-    is the singlet served by :func:`jc_ground_energy`.
+    is the singlet served by :func:`jc_ground_energy`.  Where the sum under
+    the root underflows below the smallest normal float while g or delta is
+    nonzero, the root is ``m*sqrt(n (g/m)^2 + (delta/(2m))^2)`` with
+    ``m = max(g, |delta|/2)``, within an ulp or two of the exact root.
     """
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
     base = n * p.omega_c
-    root = math.sqrt(n * p.g * p.g + 0.25 * p.delta * p.delta)
+    total = n * p.g * p.g + 0.25 * p.delta * p.delta
+    if total < sys.float_info.min and (p.g or p.delta):
+        m = max(p.g, 0.5 * abs(p.delta))
+        g, half_delta = p.g / m, p.delta / (2.0 * m)
+        root = m * math.sqrt(n * g * g + half_delta * half_delta)
+    else:
+        root = math.sqrt(total)
     return base + root, base - root
 
 
@@ -134,9 +156,10 @@ def jc_mixing_angle(p: SystemParams, n: int) -> float:
 
     On resonance the angle is pi/4, the delta -> 0 limit for g > 0.  The
     angle is undefined when g and delta vanish together (the doublet is
-    then fully degenerate) and a ValueError is raised.  Where ``2 g sqrt(n)``
-    overflows, g and delta are first scaled by the same power of two, which
-    leaves their ratio's bits as they would be in an unbounded exponent range.
+    then fully degenerate) and a ValueError is raised.  Where delta
+    overflows, g and ``p.half_delta`` take its place; where ``2 g sqrt(n)``
+    overflows, g and delta are first scaled by the same power of two.  Both
+    leave the ratio's bits as they would be in an unbounded exponent range.
     """
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
@@ -146,8 +169,8 @@ def jc_mixing_angle(p: SystemParams, n: int) -> float:
         return 0.25 * math.pi
     g, delta = p.g, p.delta
     if math.isinf(delta):
-        # Halving g and the frequencies is exact and keeps the ratio's bits.
-        g, delta = 0.5 * g, 0.5 * p.omega_a - 0.5 * p.omega_c
+        # Halving g and delta is exact and keeps the ratio's bits.
+        g, delta = 0.5 * g, p.half_delta
     if math.isinf(2.0 * g * math.sqrt(n)):
         e = math.frexp(g)[1]
         g, delta = math.ldexp(g, -e), math.ldexp(delta, -e)

@@ -70,6 +70,8 @@ BRANCHES: tuple[BranchLabel, ...] = (
 
 _EPSILON = np.array([label.epsilon for label in BRANCHES], dtype=float)
 _BRANCH = np.array([label.branch for label in BRANCHES], dtype=float)
+# sqrt of the smallest normal float: a root below it had its sum underflow.
+_TINY_ROOT = 2.0**-511
 
 
 def energies(omega_c, delta, g, kappa) -> np.ndarray:
@@ -79,7 +81,10 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     result has shape ``np.broadcast_shapes(*shapes) + (4,)``.  Every element
     is rounded exactly as the scalar float expression
     ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``,
-    of its own parameters.
+    of its own parameters, except where the sum under the root underflows
+    below the smallest normal float while g or x is nonzero.  There the
+    root is ``m*sqrt((g/m)^2 + (x/(2m))^2)`` with ``m = max(|g|, |x|/2)``,
+    within an ulp or two of the exact root.
     """
     omega_c, delta, g, kappa = (
         np.asarray(value, dtype=float)[..., None] for value in (omega_c, delta, g, kappa)
@@ -92,6 +97,14 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     root *= x
     root += g * g
     np.sqrt(root, out=root)
+    # The minimum is a reduction, so a sweep that needs no redo makes no mask.
+    if root.size and root.min() < _TINY_ROOT:
+        redo = (root < _TINY_ROOT) & ((g != 0.0) | (x != 0.0))
+        small_g, small_x = np.broadcast_to(g, x.shape)[redo], x[redo]
+        m = np.maximum(np.abs(small_g), 0.5 * np.abs(small_x))
+        small_g /= m
+        small_x /= 2.0 * m
+        root[redo] = m * np.sqrt(small_g * small_g + small_x * small_x)
     root *= _BRANCH
     x *= 0.5
     np.subtract(omega_c, x, out=x)

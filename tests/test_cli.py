@@ -96,6 +96,19 @@ class TestSpectrumCommand:
             for value, label in zip(row[1:], BRANCHES):
                 assert value == expected[label]
 
+    def test_parameters_at_2_to_the_minus_540(self, tmp_path):
+        # Before the underflow redo every row read +/-0.1-ish in place of
+        # +/-0.9 and +/-1.1, and the command exited 0.
+        settings = dict(g=1.0, kappa=0.1, sweep_start=-2.0, sweep_stop=2.0, sweep_count=41)
+        tables = []
+        for scale in (1.0, TINY_SCALE):
+            cfg = write(tmp_path / "run.cfg", scaled_cfg(settings, scale))
+            out = tmp_path / "sweep.csv"
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            tables.append(np.array(read_csv(out)[1]) / scale)
+        unit, scaled = tables
+        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
+
     def test_reproducible_bytes(self, tmp_path):
         cfg = write(
             tmp_path / "run.cfg",
@@ -105,6 +118,18 @@ class TestSpectrumCommand:
         main(["spectrum", "--config", cfg, "--out", str(first)])
         main(["spectrum", "--config", cfg, "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+def scaled_cfg(settings, scale):
+    """Config text with every float setting multiplied by ``scale``."""
+    return "".join(
+        f"{name} = {value * scale!r}\n" if isinstance(value, float) else f"{name} = {value}\n"
+        for name, value in settings.items()
+    )
+
+
+# Parameter scale at which the squares under the closed forms' roots underflow.
+TINY_SCALE = 2.0**-540
 
 
 ABSORPTION_CFG = (
@@ -151,6 +176,18 @@ class TestAbsorptionCommand:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["summary"]["n_peaks"] == 4
         assert payload["summary"]["height_imbalance_all_peaks"] > 0.05
+
+    def test_per_cell_rates_at_2_to_the_minus_540(self, tmp_path):
+        # Before the underflow redo the line centers collapsed in pairs and
+        # 2 peaks were found, with exit 0.
+        settings = dict(
+            omega_a=-2.0, g=1.0, kappa=2.0, gamma1=0.01, gamma2=0.2, gammac1=0.2, gammac2=0.01,
+            gamma_a=0.05, sweep_start=-5.0, sweep_stop=5.0, sweep_count=2001,
+        )
+        cfg = write(tmp_path / "run.cfg", scaled_cfg(settings, TINY_SCALE))
+        out = tmp_path / "abs.json"
+        assert main(["absorption", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["summary"]["n_peaks"] == 4
 
     def test_zero_damping_rates_give_zero_absorption(self, tmp_path):
         cfg = write(
@@ -214,6 +251,7 @@ class TestEigenstatesCommand:
             reports.append(capsys.readouterr().out.splitlines()[1:])
         assert reports[0] == reports[1]
         assert reports[0][0].startswith("epsilon=+1: r=0.5 ")
+        assert reports[0][0].endswith("maximally_entangled=no")
 
     def test_detuning_past_the_float_maximum(self, tmp_path, capsys):
         # omega_a - omega_c overflows at 1e308; the 1e307 run shows the same r.
@@ -224,7 +262,6 @@ class TestEigenstatesCommand:
             reports.append(capsys.readouterr().out.splitlines()[1:])
         assert reports[0] == reports[1]
         assert reports[0][0] == "epsilon=+1: r=1.0 entanglement_deviation=0.3535533905932738 maximally_entangled=no"
-        assert reports[0][0].endswith("maximally_entangled=no")
 
 
 class TestValidateCommand:
@@ -545,7 +582,7 @@ class TestRowTemplateWriters:
     @example(table=EDGE_TABLE)
     def test_csv_matches_per_row_writer(self, table):
         header, columns = table
-        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        assert "".join(_csv_parts(header, columns)) == reference_csv_text(header, columns)
 
     @given(table=float_table(), config=json_values, summary=json_values)
     @example(table=EDGE_TABLE, config={"g": 1.0}, summary={"peaks": [], "metric": None})
@@ -560,12 +597,17 @@ class TestRowTemplateWriters:
         # Float64 arrays take the NumPy repr kernel.
         header = ["x", "-x"]
         columns = [np.array(values), -np.array(values)]
-        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        assert "".join(_csv_parts(header, columns)) == reference_csv_text(header, columns)
         payload = {"config": None, "data": columns, "summary": None}
         assert _json_text(payload, header) == reference_json_text(payload, header)
 
+    def test_short_csv_of_mixed_cells(self):
+        # The eigenstates CSV: ints, floats and words, each through str.
+        columns = [[1, -1], [0.1, 1e-05], ["dark", "bright"]]
+        assert _csv_text(["eps", "r", "kind"], columns) == "eps,r,kind\n1,0.1,dark\n-1,1e-05,bright\n"
+
     def test_array_and_list_columns_agree(self):
-        # Float64 arrays take the NumPy repr kernel, lists the %-template.
+        # The kernel takes a list of floats as the float64 array it makes of it.
         rng = np.random.default_rng(7)
         column = np.concatenate([EDGE_FLOATS, rng.normal(size=_BLOCK_CELLS), rng.uniform(-1e-5, 1e20, 5)])
         for pieces, sep in ((["", "\n"], ""), (['  {"%s": ', "}"], ",\n")):
@@ -586,18 +628,9 @@ class TestRowTemplateWriters:
         # Zeros, which the kernel leaves to repr, at every 1,000th row.
         columns = [rng.normal(size=rows), rng.uniform(-1e300, 1e300, size=rows), np.arange(rows) % 1000 * 0.1]
         columns += [rng.uniform(-1e-5, 1e20, size=rows), -rng.normal(size=rows)][: width - 3]
-        assert _csv_text(header, columns) == reference_csv_text(header, columns)
+        assert "".join(_csv_parts(header, columns)) == reference_csv_text(header, columns)
         payload = {"config": {"n": rows}, "data": columns, "summary": None}
         assert _json_text(payload, header) == reference_json_text(payload, header)
-
-
-class Unformattable:
-    """A cell whose formatting fails, to find out when it is formatted."""
-
-    def __repr__(self):
-        raise LookupError("cell formatted")
-
-    __str__ = __repr__
 
 
 class TestStreamedOutput:
@@ -656,22 +689,29 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("width", [1, 3, 5])
     def test_blocks_hold_the_cell_budget(self, width):
-        # The kernel (float64 arrays) and the %-template (lists) both take
-        # _BLOCK_CELLS // width rows at a time.
+        # The kernel takes _BLOCK_CELLS // width rows at a time.
         rows = _BLOCK_CELLS // width
         column = np.arange(2 * rows + 1) * 0.5
         pieces = [""] + [","] * (width - 1) + ["\n"]
-        for columns in ([column] * width, [column.tolist()] * width):
-            assert [part.count("\n") for part in _row_blocks(pieces, "", columns)] == [rows, rows, 1]
+        assert [part.count("\n") for part in _row_blocks(pieces, "", [column] * width)] == [rows, rows, 1]
 
-    def test_parts_are_formatted_as_taken(self):
-        column = [0.5] * _BLOCK_CELLS + [Unformattable()]
+    def test_parts_are_formatted_as_taken(self, monkeypatch):
+        # The second block of each file fails to format, after the first is taken.
+        block_text = jcpair._floatfmt._block_text
+
+        def first_block_only(columns, start, *args):
+            if start:
+                raise LookupError("second block formatted")
+            return block_text(columns, start, *args)
+
+        monkeypatch.setattr(jcpair._floatfmt, "_block_text", first_block_only)
+        column = np.full(_BLOCK_CELLS + 1, 0.5)
         csv_parts = _csv_parts(["x"], [column])
         assert [next(csv_parts), next(csv_parts)] == ["x\n", "0.5\n" * _BLOCK_CELLS]
         with pytest.raises(LookupError):
             next(csv_parts)
         json_parts = _json_parts({"data": [column]}, ["x"])
-        assert "".join(next(json_parts) for _ in range(4)).endswith('"x": 0.5\n    }')
+        assert "".join(next(json_parts) for _ in range(4)).count('"x": 0.5\n    }') == _BLOCK_CELLS
         with pytest.raises(LookupError):
             next(json_parts)
 

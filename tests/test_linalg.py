@@ -494,9 +494,17 @@ class TestRoundRobin:
             assert sweeps == 0
             assert work.tobytes() == m.tobytes() and vecs.tobytes() == np.eye(n).tobytes()
             return
-        if max_sweeps < linalg.MAX_SWEEPS and sweeps == -1:
-            return
-        # One sweep can be enough for a sparse matrix, so a cap of 1 may be met.
+        if max_sweeps < linalg.MAX_SWEEPS:
+            # One sweep can be enough for a sparse matrix, so a cap of 1 may
+            # be met; then the capped run is the uncapped one, bit for bit.
+            free, free_vecs = m.copy(), np.eye(n)
+            uncapped = linalg._kernel.jacobi_cycle(
+                free[np.newaxis], free_vecs[np.newaxis], linalg.REL_TOL, linalg.MAX_SWEEPS
+            )
+            assert sweeps == (uncapped if 0 <= uncapped <= max_sweeps else -1)
+            if sweeps == -1:
+                return
+            assert work.tobytes() == free.tobytes() and vecs.tobytes() == free_vecs.tobytes()
         assert 0 < sweeps <= max_sweeps
         system = eig_sym(m)  # raises unless both checks pass
         assert system.sweeps == sweeps

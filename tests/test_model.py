@@ -22,6 +22,12 @@ class TestSystemParams:
         p = SystemParams(omega_c=1.0, omega_a=3.0, g=0.5)
         assert p.delta == 2.0
 
+    def test_half_delta_where_delta_overflows(self):
+        assert SystemParams(omega_c=1.0, omega_a=3.0, g=0.5).half_delta == 1.0
+        p = SystemParams(omega_c=-1e308, omega_a=1.5e308, g=1.0)
+        assert math.isinf(p.delta)
+        assert p.half_delta == 1.25e308
+
     def test_negative_g_rejected(self):
         with pytest.raises(ValueError, match="g"):
             SystemParams(omega_c=0.0, omega_a=0.0, g=-0.1)
@@ -87,6 +93,20 @@ class TestDoubletEnergies:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError, match="n"):
             jc_doublet_energies(params(), 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_parameters_at_2_to_the_minus_540(self, n):
+        # n g^2 + delta^2/4 underflows; before the redo both energies read n*omega_c.
+        s = 2.0**-540
+        scaled = jc_doublet_energies(SystemParams(0.5 * s, 0.7 * s, 0.3 * s), n)
+        unit = jc_doublet_energies(SystemParams(0.5, 0.7, 0.3), n)
+        for energy, expected in zip(scaled, unit):
+            assert abs(energy / s - expected) <= 4 * math.ulp(expected)
+
+    def test_smallest_subnormal_parameters(self):
+        tiny = 5e-324
+        assert jc_doublet_energies(SystemParams(tiny, tiny, 0.0), 2) == (2 * tiny, 2 * tiny)
+        assert jc_doublet_energies(SystemParams(0.0, 0.0, tiny), 1) == (tiny, -tiny)
 
     @given(
         omega_c=st.floats(-50, 50),

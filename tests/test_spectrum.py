@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jcpair.linalg import eig_sym, eigenvalue_multiset_equal
@@ -26,11 +27,17 @@ def params(delta=0.0, omega_c=0.0, g=1.0, kappa=0.0):
 
 
 def reference_energies(omega_c, delta, g, kappa):
-    """The closed form as a scalar loop over branches in plain float arithmetic."""
+    """The closed form as a scalar loop over branches in plain float arithmetic,
+    with the root at unit scale where the sum under it underflows."""
     out = []
     for label in BRANCHES:
         x = delta + label.epsilon * kappa
-        root = math.sqrt(g * g + 0.25 * x * x)
+        total = g * g + 0.25 * x * x
+        if total < sys.float_info.min and (g or x):
+            m = max(g, 0.5 * abs(x))
+            root = m * math.sqrt((g / m) ** 2 + (x / (2.0 * m)) ** 2)
+        else:
+            root = math.sqrt(total)
         out.append(omega_c - 0.5 * x + label.branch * root)
     return out
 
@@ -196,6 +203,49 @@ class TestExtremeMagnitudes:
             assert np.all(np.abs(stacked[b] - closed[b]) <= tol)
 
 
+_EPS = np.array([label.epsilon for label in BRANCHES], dtype=float)
+# Multiples of 1/16, so sums and halves of them stay exact at every scale tried.
+sixteenths = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+class TestScaleCovariance:
+    """Scaling every parameter by 2^k scales every energy by 2^k."""
+
+    def test_unit_rows_at_2_to_the_minus_540(self):
+        # The squares under the root underflow; before the redo this gave
+        # [-0.15, -0.15, -0.05, -0.05].
+        s = 2.0**-540
+        scaled = energies(0.0, 0.2 * s, s, 0.1 * s) / s
+        unit = energies(0.0, 0.2, 1.0, 0.1)
+        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
+        assert scaled == pytest.approx([0.861, -1.161, 0.951, -1.051], abs=1e-3)
+
+    def test_zero_coupling_and_detuning_stay_zero(self):
+        assert bits(energies(0.0, 0.0, 0.0, 0.0)) == bits([0.0] * 4)
+        assert energies(0.0, np.empty(0), 1.0, 0.0).shape == (0, 4)
+
+    @given(
+        omega_c=sixteenths,
+        delta=sixteenths,
+        g=sixteenths.map(abs),
+        kappa=sixteenths,
+        k=st.integers(-1000, 500),
+    )
+    def test_every_normal_scale(self, omega_c, delta, g, kappa, k):
+        # Every nonzero input, x = delta +/- kappa and x/2 stay normal for
+        # these k.  Where the sum under the root is still normal the bits are
+        # exact; where it underflows the redo's root is within an ulp or two,
+        # so an energy is within 4 ulp of its largest term.
+        unit = energies(omega_c, delta, g, kappa)
+        scaled = np.ldexp(energies(*np.ldexp([omega_c, delta, g, kappa], k)), -k)
+        x = delta + _EPS * kappa
+        root = np.sqrt(g * g + 0.25 * x * x)
+        normal = np.ldexp(g * g + 0.25 * x * x, 2 * k) >= np.finfo(float).tiny
+        assert bits(scaled[normal]) == bits(unit[normal])
+        largest = np.maximum(np.maximum(abs(omega_c), 0.5 * np.abs(x)), root)
+        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(largest))
+
+
 class TestPerturbative:
     def test_reduces_to_vacuum_rabi(self):
         energies = one_excitation_energies_perturbative(params(g=1.0, kappa=0.0))
@@ -282,6 +332,8 @@ class TestSweep:
         g=values.map(abs),
         kappa=values,
     )
+    # x = delta - kappa is about 1.4e-166, so x*x/4 underflows.
+    @example(omega_c=0.0, grid=[1.0000000000000002e-150], g=0.0, kappa=1e-150)
     def test_bitwise_equal_to_scalar_reference(self, omega_c, grid, g, kappa):
         sweep = sweep_spectrum(SystemParams(omega_c, omega_c, g, kappa), grid)
         for i, delta in enumerate(grid):
