@@ -13,6 +13,9 @@ and their exponent down by one, and the ``s >= 100`` guard on the
 one-digit-shorter candidates.  With them ``5e-324`` and ``8e-323`` would
 print as ``4.9e-324`` and ``7.9e-323``.
 
+A zero of either sign goes through the same kernel, as the digit 0 at
+decpt 1.  Inf and nan raise ``ValueError``: no cell is formatted in Python.
+
 Each text is laid out in a fixed-width field with NUL in every unused byte,
 so ``row_blocks`` can join the fields of a block of rows with their
 literal pieces in one buffer and delete the NULs with ``bytes.translate``.
@@ -177,25 +180,25 @@ def _rop(limbs: np.ndarray, k: np.ndarray, cp: np.ndarray) -> np.ndarray:
 
 
 def _decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """For each nonzero finite float64 given by its bits, the shortest
-    decimal ``0.DIGITS * 10^decpt`` that rounds to it (of those, the
-    closest, then the one with an even last digit), as DIGITS padded to 17
-    digits and decpt + 324, with whether it is negative and whether it is
-    zero, inf or nan (those get some digits).  ``bits`` is overwritten."""
+    """For each finite float64 given by its bits, the shortest decimal
+    ``0.DIGITS * 10^decpt`` that rounds to it (of those, the closest, then
+    the one with an even last digit), as DIGITS padded to 17 digits and
+    decpt + 324, with whether it is negative.  A zero of either sign gets
+    the digit 0 at decpt 1.  Raises ``ValueError`` if any of the floats is
+    inf or nan.  ``bits`` is overwritten."""
     tables = _tables()
     limbs = tables["limbs"]
     bq = bits >> _U52
     negative = bq > _EXPONENT
     bq &= _EXPONENT
-    special = bq == _EXPONENT
+    if bq.max(initial=0) == _EXPONENT:
+        raise ValueError("only finite floats can be formatted")
     c = bits
     c &= _MANTISSA
     irregular = c == _U0
     subnormal = bq == _U0
     zero = irregular & subnormal
-    c |= zero  # as if the smallest subnormal
-    special |= zero
-    del zero
+    c |= zero  # as if the smallest subnormal, until the last step
     irregular &= bq > _U1  # a power of two: the gap below is half the gap above
     c += _HIDDEN
     np.subtract(c, _HIDDEN, out=c, where=subnormal)
@@ -273,7 +276,10 @@ def _decimals(bits: np.ndarray) -> tuple[np.ndarray, ...]:
     n += s >= pow10.take(n)
     s *= pow10.take(17 - n)
     k += n
-    return s, k, negative, special
+    # A zero is the digit 0 at decpt 1, which _layout writes as 0.0 or -0.0.
+    np.copyto(s, _U0, where=zero)
+    np.copyto(k, 1 - _K_MIN, where=zero)
+    return s, k, negative
 
 
 def _layout(digits: np.ndarray, e: np.ndarray, negative: np.ndarray, out: np.ndarray) -> None:
@@ -361,15 +367,6 @@ def _layout(digits: np.ndarray, e: np.ndarray, negative: np.ndarray, out: np.nda
     np.bitwise_and(b, q, out=out[:, 2])
 
 
-def _replace(out: np.ndarray, rows: np.ndarray, texts: Iterator[str]) -> None:
-    """Write each of ``texts`` over its row of ``out`` (from ``rows``),
-    NUL-padded and up to the spare bytes of word WORDS - 1."""
-    for i, text in zip(rows, texts):
-        row = out[i, :WORDS].view(np.uint8)
-        row[: row.size - SPARE] = 0
-        row[: len(text)] = np.frombuffer(text.encode(), dtype=np.uint8)
-
-
 def _block_text(columns: list[np.ndarray], start: int, count: int, tails: np.ndarray, end: int | None) -> str:
     """The text of ``count`` rows from row ``start``: the fields of the
     cells, each unit ending with its literal from ``tails`` (words WORDS-1
@@ -378,7 +375,7 @@ def _block_text(columns: list[np.ndarray], start: int, count: int, tails: np.nda
     values = np.empty((count, width))
     for j, column in enumerate(columns):
         values[:, j] = column[start : start + count]
-    digits, e, negative, special = _decimals(values.reshape(-1).view(np.uint64))
+    digits, e, negative = _decimals(values.reshape(-1).view(np.uint64))
     del values
     # The buffer is a bytearray, so it can give the text back without a copy.
     buffer = bytearray(count * width * 8 * (WORDS - 1 + tails.shape[1]))
@@ -386,9 +383,6 @@ def _block_text(columns: list[np.ndarray], start: int, count: int, tails: np.nda
     units.reshape(count, width, -1)[:, :, WORDS - 1 :] = tails
     _layout(digits, e, negative, units)
     del digits, e, negative
-    if special.any():
-        rows = np.flatnonzero(special)
-        _replace(units, rows, (repr(float(columns[i % width][start + i // width])) for i in rows))
     if end is not None:
         units.view(np.uint8)[-1, end:] = 0
     # The NULs are deleted an eighth of the block at a time, and the text
@@ -408,7 +402,8 @@ def _block_text(columns: list[np.ndarray], start: int, count: int, tails: np.nda
 def row_blocks(pieces: list[str], sep: str, columns: list[np.ndarray], block_rows: int) -> Iterator[str]:
     """The rows of equal-length float64 columns, each cell's ``repr``
     between the literal ``pieces`` (one more than there are columns), rows
-    separated by ``sep``, in parts of up to ``block_rows`` rows."""
+    separated by ``sep``, in parts of up to ``block_rows`` rows.  Every
+    cell must be finite: a block holding inf or nan raises ``ValueError``."""
     total = len(columns[0])
     if total == 0:
         return

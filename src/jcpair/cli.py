@@ -134,12 +134,14 @@ def _stage(path: str, parts: Iterable[str], staged: list[tuple[str, str]]) -> No
     directory, or that name already taken).  A file written in place holds
     the parts written so far if producing or writing a later part fails.
     """
-    target = os.path.realpath(path)
     try:
-        info = os.stat(target)
+        info = os.stat(path)
     except FileNotFoundError:
         info = None
     if info is None or (stat.S_ISREG(info.st_mode) and info.st_nlink == 1):
+        # Only a regular file's path is resolved: /proc's fd links to a pipe
+        # or socket resolve to names that do not exist.
+        target = os.path.realpath(path)
         temp = f"{target}.{os.getpid()}.tmp"
         try:
             handle = open(temp, "x", encoding="utf-8", newline="\n")

@@ -134,17 +134,21 @@ def jc_doublet_energies(p: SystemParams, n: int) -> tuple[float, float]:
 
     ``n*omega_c +/- sqrt(n g^2 + delta^2/4)`` for n >= 1; the n = 0 level
     is the singlet served by :func:`jc_ground_energy`.  Where the sum under
-    the root underflows below the smallest normal float while g or delta is
-    nonzero, the root is ``m*sqrt(n (g/m)^2 + (delta/(2m))^2)`` with
-    ``m = max(g, |delta|/2)``, within an ulp or two of the exact root.
+    the root underflows below the smallest normal float while g or delta/2
+    is nonzero, or overflows while both are finite, the root is
+    ``m*sqrt(n (g/m)^2 + (delta/(2m))^2)`` with ``m = max(g, |delta|/2)``,
+    within an ulp or two of the exact root.
     """
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
     base = n * p.omega_c
     total = n * p.g * p.g + 0.25 * p.delta * p.delta
-    if total < sys.float_info.min and (p.g or p.delta):
+    if (total < sys.float_info.min and (p.g or 0.5 * p.delta)) or (
+        total == math.inf and math.isfinite(p.g) and math.isfinite(p.delta)
+    ):
         m = max(p.g, 0.5 * abs(p.delta))
-        g, half_delta = p.g / m, p.delta / (2.0 * m)
+        # delta/m halved rounds as delta/(2m), which may overflow.
+        g, half_delta = p.g / m, p.delta / m * 0.5
         root = m * math.sqrt(n * g * g + half_delta * half_delta)
     else:
         root = math.sqrt(total)

@@ -70,7 +70,8 @@ BRANCHES: tuple[BranchLabel, ...] = (
 
 _EPSILON = np.array([label.epsilon for label in BRANCHES], dtype=float)
 _BRANCH = np.array([label.branch for label in BRANCHES], dtype=float)
-# sqrt of the smallest normal float: a root below it had its sum underflow.
+# sqrt of the smallest normal float: a root below it had its sum underflow,
+# as an infinite root of finite g and x had it overflow.
 _TINY_ROOT = 2.0**-511
 
 
@@ -82,9 +83,10 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     is rounded exactly as the scalar float expression
     ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``,
     of its own parameters, except where the sum under the root underflows
-    below the smallest normal float while g or x is nonzero.  There the
-    root is ``m*sqrt((g/m)^2 + (x/(2m))^2)`` with ``m = max(|g|, |x|/2)``,
-    within an ulp or two of the exact root.
+    below the smallest normal float while g or x/2 is nonzero, or overflows
+    while g and x are finite.  There the root is ``m*sqrt((g/m)^2 +
+    (x/(2m))^2)`` with ``m = max(|g|, |x|/2)``, within an ulp or two of the
+    exact root.
     """
     omega_c, delta, g, kappa = (
         np.asarray(value, dtype=float)[..., None] for value in (omega_c, delta, g, kappa)
@@ -93,18 +95,21 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     # expression does; the operands of + and * may swap, which IEEE leaves exact.
     x = np.empty(np.broadcast_shapes(omega_c.shape, delta.shape, g.shape, kappa.shape, (4,)))
     np.add(delta, kappa * _EPSILON, out=x)
-    root = 0.25 * x
-    root *= x
-    root += g * g
+    with np.errstate(over="ignore"):  # an overflowing sum is redone below
+        root = 0.25 * x
+        root *= x
+        root += g * g
     np.sqrt(root, out=root)
-    # The minimum is a reduction, so a sweep that needs no redo makes no mask.
-    if root.size and root.min() < _TINY_ROOT:
-        redo = (root < _TINY_ROOT) & ((g != 0.0) | (x != 0.0))
-        small_g, small_x = np.broadcast_to(g, x.shape)[redo], x[redo]
-        m = np.maximum(np.abs(small_g), 0.5 * np.abs(small_x))
-        small_g /= m
-        small_x /= 2.0 * m
-        root[redo] = m * np.sqrt(small_g * small_g + small_x * small_x)
+    # The extremes are reductions, so a sweep that needs no redo makes no mask.
+    if root.size and (root.min() < _TINY_ROOT or root.max() == np.inf):
+        redo = (root < _TINY_ROOT) & ((g != 0.0) | (0.5 * x != 0.0))
+        redo |= (root == np.inf) & np.isfinite(g) & np.isfinite(x)
+        wide_g, wide_x = np.broadcast_to(g, x.shape)[redo], x[redo]
+        m = np.maximum(np.abs(wide_g), 0.5 * np.abs(wide_x))
+        wide_g /= m
+        wide_x /= m  # then halved: 2m may overflow, and both round alike
+        wide_x *= 0.5
+        root[redo] = m * np.sqrt(wide_g * wide_g + wide_x * wide_x)
     root *= _BRANCH
     x *= 0.5
     np.subtract(omega_c, x, out=x)

@@ -3,7 +3,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -96,18 +99,47 @@ class TestSpectrumCommand:
             for value, label in zip(row[1:], BRANCHES):
                 assert value == expected[label]
 
+    @staticmethod
+    def assert_rows_scale(tmp_path, scale):
+        """The spectrum rows at ``scale`` are ``scale`` times the unit rows, within 4 ulp."""
+        settings = dict(g=1.0, kappa=0.1, sweep_start=-2.0, sweep_stop=2.0, sweep_count=41)
+        tables = []
+        for factor in (1.0, scale):
+            cfg = write(tmp_path / "run.cfg", scaled_cfg(settings, factor))
+            out = tmp_path / "sweep.csv"
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            tables.append(np.array(read_csv(out)[1]) / factor)
+        unit, scaled = tables
+        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
+
     def test_parameters_at_2_to_the_minus_540(self, tmp_path):
         # Before the underflow redo every row read +/-0.1-ish in place of
         # +/-0.9 and +/-1.1, and the command exited 0.
-        settings = dict(g=1.0, kappa=0.1, sweep_start=-2.0, sweep_stop=2.0, sweep_count=41)
-        tables = []
-        for scale in (1.0, TINY_SCALE):
-            cfg = write(tmp_path / "run.cfg", scaled_cfg(settings, scale))
-            out = tmp_path / "sweep.csv"
-            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-            tables.append(np.array(read_csv(out)[1]) / scale)
-        unit, scaled = tables
-        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
+        self.assert_rows_scale(tmp_path, TINY_SCALE)
+
+    def test_parameters_at_2_to_the_plus_1021(self, tmp_path):
+        # The largest scale whose sweep span stays finite.  Before the
+        # overflow redo every energy was inf, and the command exited 2.
+        self.assert_rows_scale(tmp_path, 2.0**1021)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_decoupled_sweep_matches_per_row_writers(self, tmp_path, fmt):
+        # At omega_c = g = kappa = 0 the levels cross and about half the
+        # cells are zeros, which go through the repr kernel with the rest.
+        text = "omega_c = 0\ng = 0\nkappa = 0\nsweep_start = -3\nsweep_stop = 3\nsweep_count = 60001\n"
+        cfg = write(tmp_path / "run.cfg", text)
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["spectrum", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+        written = out.read_text(encoding="utf-8")
+        if fmt == "csv":
+            sweep = jcpair.spectrum.sweep_spectrum(
+                jcpair.config.load_config(cfg).params, np.linspace(-3.0, 3.0, 60001)
+            )
+            columns = [sweep.deltas] + [sweep.branch(label) for label in jcpair.spectrum.BRANCHES]
+            assert written == reference_csv_text(SPECTRUM_HEADER, columns)
+        else:
+            assert written == json.dumps(json.loads(written), indent=2) + "\n"
+        assert re.split(r"[\s,:]+", written).count("0.0") > 60001
 
     def test_reproducible_bytes(self, tmp_path):
         cfg = write(
@@ -188,6 +220,32 @@ class TestAbsorptionCommand:
         out = tmp_path / "abs.json"
         assert main(["absorption", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         assert json.loads(out.read_text(encoding="utf-8"))["summary"]["n_peaks"] == 4
+
+    def test_per_cell_rates_at_2_to_the_plus_1020(self, tmp_path):
+        # The largest scale at which the sweep's span, from -5 to 5 scaled,
+        # stays finite.  chi is a ratio of rates to frequencies, so it keeps
+        # its value; before the overflow redo every line center was inf and
+        # the command exited 2.
+        settings = dict(
+            omega_a=-2.0, g=1.0, kappa=2.0, gamma1=0.01, gamma2=0.2, gammac1=0.2, gammac2=0.01,
+            gamma_a=0.05, sweep_start=-5.0, sweep_stop=5.0, sweep_count=2001,
+        )
+        top = 2.0**1020
+        payloads = []
+        for scale in (1.0, top):
+            cfg = write(tmp_path / "run.cfg", scaled_cfg(settings, scale))
+            out = tmp_path / "abs.json"
+            assert main(["absorption", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+            payloads.append(json.loads(out.read_text(encoding="utf-8")))
+        unit, scaled = payloads
+        assert scaled["summary"]["n_peaks"] == 4
+        for mine, theirs in zip(scaled["summary"]["peaks"], unit["summary"]["peaks"]):
+            assert mine["position"] / top == pytest.approx(theirs["position"], rel=1e-12)
+            assert mine["height"] == pytest.approx(theirs["height"], rel=1e-12)
+        for mine, theirs in zip(scaled["data"], unit["data"]):
+            assert mine["omega_p"] / top == theirs["omega_p"]
+            assert mine["re_chi"] == pytest.approx(theirs["re_chi"], rel=1e-12, abs=1e-12)
+            assert mine["im_chi"] == pytest.approx(theirs["im_chi"], rel=1e-12, abs=1e-12)
 
     def test_zero_damping_rates_give_zero_absorption(self, tmp_path):
         cfg = write(
@@ -372,19 +430,24 @@ class TestNonFiniteAndOversized:
         assert err.count("\n") == 1 and "out of memory" in err
 
     def test_spectrum_overflow_writes_nothing(self, tmp_path, capsys):
+        # The upper line centers, omega_c + g = 2e308, pass the float maximum.
         code, err = self.run(
-            tmp_path, capsys, "spectrum", "g = 1e200\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 3\n"
+            tmp_path,
+            capsys,
+            "spectrum",
+            "omega_c = 1e308\ng = 1e308\nsweep_start = 0\nsweep_stop = 1\nsweep_count = 3\n",
         )
         assert code == 2
         assert err.count("\n") == 1 and "not finite" in err
 
     def test_spectrum_overflowing_sweep_bounds(self, tmp_path, capsys):
-        # The grid is finite, but x*x/4 overflows at both ends.
+        # The grid is finite, but at both ends x = delta +/- kappa, and with
+        # it a line center, passes the float maximum.
         code, err = self.run(
             tmp_path,
             capsys,
             "spectrum",
-            "sweep_start = -1e200\nsweep_stop = 1e200\nsweep_count = 3\n",
+            "kappa = 1e308\nsweep_start = -8e307\nsweep_stop = 8e307\nsweep_count = 3\n",
         )
         assert code == 2
         assert err.count("\n") == 1 and "not finite" in err
@@ -404,13 +467,14 @@ class TestNonFiniteAndOversized:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_absorption_line_center_overflow(self, tmp_path, capsys, fmt):
-        # A per-cell config scaled by 2^520: the rates stay finite but the
-        # line centers overflow, and rate / inf = 0 wrote chi = 0 everywhere.
+        # A per-cell config scaled by 2^1022: the rates and the grid stay
+        # finite but the upper line centers, about 4.4 * 2^1022, overflow,
+        # and rate / inf = 0 wrote chi = 0 everywhere.
         values = {
-            "omega_a": 0.3, "g": 1.0, "kappa": 0.2, "gamma1": 0.01, "gamma2": 0.2,
-            "gammac1": 0.2, "gammac2": 0.01, "gamma_a": 0.05, "sweep_start": -3.0, "sweep_stop": 3.0,
+            "omega_c": 3.5, "omega_a": 3.8, "g": 1.0, "kappa": 0.2, "gamma1": 0.01, "gamma2": 0.2,
+            "gammac1": 0.2, "gammac2": 0.01, "gamma_a": 0.05, "sweep_start": 2.5, "sweep_stop": 3.5,
         }
-        text = "".join(f"{key} = {value * 2.0**520!r}\n" for key, value in values.items())
+        text = "".join(f"{key} = {value * 2.0**1022!r}\n" for key, value in values.items())
         code, err = self.run(tmp_path, capsys, "absorption", text + "sweep_count = 11\n", "--format", fmt)
         assert code == 2
         assert err.count("\n") == 1 and "not finite" in err
@@ -625,7 +689,7 @@ class TestRowTemplateWriters:
         rows = blocks * (_BLOCK_CELLS // width) + extra
         rng = np.random.default_rng(rows)
         header = ["x", "y", "z", "u", "v"][:width]
-        # Zeros, which the kernel leaves to repr, at every 1,000th row.
+        # Zeros at every 1,000th row.
         columns = [rng.normal(size=rows), rng.uniform(-1e300, 1e300, size=rows), np.arange(rows) % 1000 * 0.1]
         columns += [rng.uniform(-1e-5, 1e20, size=rows), -rng.normal(size=rows)][: width - 3]
         assert "".join(_csv_parts(header, columns)) == reference_csv_text(header, columns)
@@ -804,6 +868,27 @@ class TestAtomicWrites:
         expected = self.spectrum_bytes(tmp_path, out)
         assert other.read_bytes() == out.read_bytes() == expected
         assert os.path.samefile(out, other)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum"], ["absorption", "--format", "json"], ["validate", "--trials", "3"]],
+        ids=["spectrum", "absorption-json", "validate"],
+    )
+    def test_stdout_pipe_written_in_place(self, tmp_path, argv):
+        # /dev/stdout links to /proc/self/fd/1, whose target for a pipe is a
+        # name like "pipe:[N]" that does not exist: it was taken for a new
+        # regular file, and creating its temp file failed with exit 2.
+        cfg = write(tmp_path / "run.cfg", ABSORPTION_CFG.replace("2001", "101"))
+        argv = argv + ["--config", cfg] if argv[0] != "validate" else argv
+        assert main(argv + ["--out", str(tmp_path / "file")]) == 0
+        code = "import sys; from jcpair.cli import main; sys.exit(main())"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(jcpair.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (tmp_path / "file").read_bytes()
 
     def test_existing_mode_kept_new_mode_from_umask(self, tmp_path):
         out = tmp_path / "out.csv"

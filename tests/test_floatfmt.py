@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from jcpair import _floatfmt
 
@@ -25,17 +26,18 @@ class TestFieldsMatchRepr:
         bits = rng.integers(0, 0x7FF0 << 48, size=2**20, dtype=np.uint64)
         bits |= rng.integers(0, 2, size=2**20, dtype=np.uint64) << np.uint64(63)
         powers = [2.0**e for e in range(-1074, 1024)] + [float(f"1e{e}") for e in range(-323, 309)]
-        values = np.concatenate([bits.view(np.float64), powers, np.negative(powers)])
+        values = np.concatenate([bits.view(np.float64), powers, np.negative(powers), [0.0, -0.0]])
         assert kernel_lines(values) == repr_lines(values)
 
-    def test_inf_and_nan(self):
-        values = [np.inf, -np.inf, np.nan, 1.5, -0.0]
-        assert kernel_lines(values) == ["inf", "-inf", "nan", "1.5", "-0.0"]
+    def test_non_finite_rejected(self):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                kernel_lines([1.5, value, -0.0])
 
     def test_spare_bytes_left_alone(self):
         # Each cell's literal starts in the last SPARE bytes of its field, so a
         # multi-byte literal comes out whole after every kind of text.
-        values = [1e-320, -0.0, 123.5, np.inf, 1.5e300]
+        values = [1e-320, -0.0, 123.5, 0.0, -5e-324, 1.5e300]
         literal = "\u00ab\u2192\u00bb"
         text = "".join(_floatfmt.row_blocks(["", literal], "\n", [np.array(values)], 1 << 16))
         assert text == "\n".join(repr(value) + literal for value in values)

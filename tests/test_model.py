@@ -103,6 +103,24 @@ class TestDoubletEnergies:
         for energy, expected in zip(scaled, unit):
             assert abs(energy / s - expected) <= 4 * math.ulp(expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_every_scale_up_to_the_float_maximum(self, n):
+        # From about 2^511 up, n g^2 + delta^2/4 overflows; before the redo
+        # the energies read +/-inf.  top is the largest k at which every
+        # input and energy times 2^k is still finite.
+        values = (0.5, 0.7, 0.3)
+        unit = jc_doublet_energies(SystemParams(*values), n)
+        top = 1024 - max(math.frexp(abs(v))[1] for v in (*values, *unit))
+        for k in range(top + 1):
+            scaled = jc_doublet_energies(SystemParams(*(math.ldexp(v, k) for v in values)), n)
+            for energy, expected in zip(scaled, unit):
+                assert abs(math.ldexp(energy, -k) - expected) <= 4 * math.ulp(expected), k
+
+    def test_half_the_smallest_subnormal_detuning(self):
+        # delta/2 rounds to 0, so the plain root is right; the redo's m was 0.
+        assert jc_doublet_energies(SystemParams(0.0, 5e-324, 0.0), 1) == (0.0, 0.0)
+        assert jc_doublet_energies(SystemParams(0.0, 1e-323, 0.0), 1) == (5e-324, -5e-324)
+
     def test_smallest_subnormal_parameters(self):
         tiny = 5e-324
         assert jc_doublet_energies(SystemParams(tiny, tiny, 0.0), 2) == (2 * tiny, 2 * tiny)

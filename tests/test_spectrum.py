@@ -28,14 +28,14 @@ def params(delta=0.0, omega_c=0.0, g=1.0, kappa=0.0):
 
 def reference_energies(omega_c, delta, g, kappa):
     """The closed form as a scalar loop over branches in plain float arithmetic,
-    with the root at unit scale where the sum under it underflows."""
+    with the root at unit scale where the sum under it underflows or overflows."""
     out = []
     for label in BRANCHES:
         x = delta + label.epsilon * kappa
         total = g * g + 0.25 * x * x
-        if total < sys.float_info.min and (g or x):
+        if (total < sys.float_info.min and (g or x)) or (total == math.inf and math.isfinite(x)):
             m = max(g, 0.5 * abs(x))
-            root = m * math.sqrt((g / m) ** 2 + (x / (2.0 * m)) ** 2)
+            root = m * math.sqrt((g / m) ** 2 + (x / m / 2.0) ** 2)
         else:
             root = math.sqrt(total)
         out.append(omega_c - 0.5 * x + label.branch * root)
@@ -222,25 +222,45 @@ class TestScaleCovariance:
 
     def test_zero_coupling_and_detuning_stay_zero(self):
         assert bits(energies(0.0, 0.0, 0.0, 0.0)) == bits([0.0] * 4)
+        # x/2 rounds to zero, so the plain root is right; the redo's m was 0.
+        assert bits(energies(0.0, 0.0, 0.0, 5e-324)) == bits([0.0] * 4)
         assert energies(0.0, np.empty(0), 1.0, 0.0).shape == (0, 4)
+
+    def test_unit_rows_at_2_to_the_plus_1019(self):
+        # The squares under the root overflow; before the redo this gave
+        # [-inf, -inf, inf, inf] and two RuntimeWarnings.
+        s = 2.0**1019
+        scaled = energies(0.0, 0.2 * s, s, 0.1 * s) / s
+        unit = energies(0.0, 0.2, 1.0, 0.1)
+        assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
+
+    def test_coupling_near_the_float_maximum(self):
+        # 2m = 2g overflows, so x/(2m) is taken as x/m halved.
+        g = 1e308
+        assert energies(0.0, g, g, 0.0) == pytest.approx([-0.5 * g + 1.25**0.5 * g, -0.5 * g - 1.25**0.5 * g] * 2)
 
     @given(
         omega_c=sixteenths,
         delta=sixteenths,
         g=sixteenths.map(abs),
         kappa=sixteenths,
-        k=st.integers(-1000, 500),
+        k=st.integers(-1000, 1019),
     )
+    @example(omega_c=4.0, delta=4.0, g=4.0, kappa=-4.0, k=1019)
+    @example(omega_c=-4.0, delta=-4.0, g=4.0, kappa=-4.0, k=1019)
     def test_every_normal_scale(self, omega_c, delta, g, kappa, k):
         # Every nonzero input, x = delta +/- kappa and x/2 stay normal for
-        # these k.  Where the sum under the root is still normal the bits are
-        # exact; where it underflows the redo's root is within an ulp or two,
-        # so an energy is within 4 ulp of its largest term.
+        # these k, and every energy (below 16 at unit scale) stays below
+        # 2^1023.  Where the sum under the root is still normal and finite
+        # the bits are exact; where it underflows or overflows the redo's root
+        # is within an ulp or two, so an energy is within 4 ulp of its
+        # largest term.
         unit = energies(omega_c, delta, g, kappa)
         scaled = np.ldexp(energies(*np.ldexp([omega_c, delta, g, kappa], k)), -k)
         x = delta + _EPS * kappa
         root = np.sqrt(g * g + 0.25 * x * x)
-        normal = np.ldexp(g * g + 0.25 * x * x, 2 * k) >= np.finfo(float).tiny
+        exponent = np.frexp(g * g + 0.25 * x * x)[1] + 2 * k
+        normal = (exponent > -1021) & (exponent <= 1024)
         assert bits(scaled[normal]) == bits(unit[normal])
         largest = np.maximum(np.maximum(abs(omega_c), 0.5 * np.abs(x)), root)
         assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(largest))

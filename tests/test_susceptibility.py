@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from jcpair.eigenstates import amplitudes, branch_detuning
@@ -134,6 +134,54 @@ class TestTransitionProbabilities:
             for (ce, re_), (cn, rn) in zip(closed, numeric):
                 assert ce == pytest.approx(cn, abs=1e-10)
                 assert re_ == pytest.approx(rn, abs=1e-10)
+
+    @given(
+        omega_c=st.floats(-10, 10),
+        omega_a=st.floats(-10, 10),
+        g=st.floats(1e-3, 10),
+        kappa=st.floats(-10, 10),
+        gammas=st.lists(rates, min_size=4, max_size=4),
+    )
+    def test_eigenvector_oracle(self, omega_c, omega_a, g, kappa, gammas):
+        # Each eigenpair (lambda, v) of the -kappa block, basis order
+        # |0e0g>, |1g0g>, |0g1g>, |0g0e>, gives the rate
+        # (sqrt(g1) v0 + sqrt(g2) v3)^2 + (sqrt(gc1) v1 + sqrt(gc2) v2)^2 of
+        # the +kappa label whose center is nearest lambda.  Near-degenerate
+        # centers mix their eigenvectors, so those draws are skipped.
+        p = SystemParams(omega_c, omega_a, g, kappa)
+        d = DampingParams(*gammas, 0.05)
+        table = transition_table(p, d)
+        centers = sorted(table.centers.values())
+        scale = max(abs(omega_c), abs(omega_a), g, abs(kappa))
+        assume(min(b - a for a, b in zip(centers, centers[1:])) > 1e-6 * scale)
+        g1, g2, gc1, gc2 = map(math.sqrt, gammas)
+        system = eig_sym(build_hamiltonian(SystemParams(omega_c, omega_a, g, -kappa), enumerate_sector(1)).matrix)
+        for value, v in zip(system.values, system.vectors.T):
+            label = min(BRANCHES, key=lambda label: abs(table.centers[label] - value))
+            rate = (g1 * v[0] + g2 * v[3]) ** 2 + (gc1 * v[1] + gc2 * v[2]) ** 2
+            assert abs(table.centers[label] - value) <= 1e-10 * scale
+            assert abs(table.rates[label] - rate) <= 1e-10 * sum(gammas)
+
+
+class TestScaleCovariance:
+    def test_table_up_to_the_float_maximum(self):
+        # Scaling every rate by 2^k scales every center and rate by 2^k,
+        # within a few ulp: the redo's root where the sum under it overflows,
+        # and sqrt(2^k gamma), exact only for even k.  top is the largest k
+        # at which every input and output is still finite.
+        values, gammas = (0.0, -2.0, 1.0, 2.0), (0.01, 0.2, 0.2, 0.01, 0.05)
+        unit = transition_table(SystemParams(*values), DampingParams(*gammas))
+        outputs = [*unit.centers.values(), *unit.rates.values()]
+        top = 1024 - max(math.frexp(abs(v))[1] for v in (*values, *gammas, *outputs))
+        for k in range(-1000, top + 1):
+            table = transition_table(
+                SystemParams(*(math.ldexp(v, k) for v in values)),
+                DampingParams(*(math.ldexp(v, k) for v in gammas)),
+            )
+            for label in BRANCHES:
+                for scaled, expected in ((table.centers, unit.centers), (table.rates, unit.rates)):
+                    error = abs(math.ldexp(scaled[label], -k) - expected[label])
+                    assert error <= 4 * math.ulp(expected[label]), (k, label)
 
 
 class TestSusceptibilityCurve:
