@@ -228,6 +228,16 @@ def cmd_absorption(args: argparse.Namespace) -> int:
     if cfg.damping is None:
         raise ConfigError("damping rates (at least gamma_a) are required for 'absorption'")
     grid = _require_sweep(cfg, "absorption")
+    if args.format == "csv":
+        try:
+            regular = stat.S_ISREG(os.stat(args.out).st_mode)
+        except OSError:  # a new file, or one the write below reports on
+            regular = True
+        if not regular:
+            raise ConfigError(
+                f"--out {args.out} is not a regular file, so an 'absorption' CSV "
+                "has no place for its .summary.json; use --format json"
+            )
     with np.errstate(all="ignore"):  # overflow is reported by _require_finite below
         curve = susceptibility_curve(cfg.params, cfg.damping, grid)
     _require_finite("absorption", curve.omega_p, curve.chi)

@@ -133,23 +133,22 @@ def jc_doublet_energies(p: SystemParams, n: int) -> tuple[float, float]:
     """Energies ``(upper, lower)`` of the n-th single-cell doublet.
 
     ``n*omega_c +/- sqrt(n g^2 + delta^2/4)`` for n >= 1; the n = 0 level
-    is the singlet served by :func:`jc_ground_energy`.  Where the sum under
-    the root underflows below the smallest normal float while g or delta/2
-    is nonzero, or overflows while both are finite, the root is
-    ``m*sqrt(n (g/m)^2 + (delta/(2m))^2)`` with ``m = max(g, |delta|/2)``,
-    within an ulp or two of the exact root.
+    is the singlet served by :func:`jc_ground_energy`.  The root is taken as
+    ``sqrt(n g^2 + h^2)`` with ``h = p.half_delta``, finite also where delta
+    overflows.  Where that sum underflows or overflows, the root is taken at
+    unit scale by the rule :func:`jcpair.spectrum.energies` states, with
+    ``n (g/m)^2`` in place of ``(g/m)^2``.  Wherever delta is finite and no
+    redo is taken, the bits are those of the plain expression.
     """
     if n < 1:
         raise ValueError(f"doublet index n must be >= 1, got {n}")
     base = n * p.omega_c
-    total = n * p.g * p.g + 0.25 * p.delta * p.delta
-    if (total < sys.float_info.min and (p.g or 0.5 * p.delta)) or (
-        total == math.inf and math.isfinite(p.g) and math.isfinite(p.delta)
-    ):
-        m = max(p.g, 0.5 * abs(p.delta))
-        # delta/m halved rounds as delta/(2m), which may overflow.
-        g, half_delta = p.g / m, p.delta / m * 0.5
-        root = m * math.sqrt(n * g * g + half_delta * half_delta)
+    g, h = p.g, p.half_delta
+    total = n * g * g + h * h
+    if (total < sys.float_info.min and (g or h)) or total == math.inf:
+        m = max(g, abs(h))
+        g, h = g / m, h / m
+        root = m * math.sqrt(n * g * g + h * h)
     else:
         root = math.sqrt(total)
     return base + root, base - root

@@ -84,9 +84,9 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     ``omega_c - x/2 + branch*sqrt(g*g + x*x/4)``, ``x = delta + eps*kappa``,
     of its own parameters, except where the sum under the root underflows
     below the smallest normal float while g or x/2 is nonzero, or overflows
-    while g and x are finite.  There the root is ``m*sqrt((g/m)^2 +
-    (x/(2m))^2)`` with ``m = max(|g|, |x|/2)``, within an ulp or two of the
-    exact root.
+    while g and x are finite.  There the root is taken at unit scale, as
+    ``m*sqrt((g/m)^2 + (h/m)^2)`` with ``h = x/2`` and ``m = max(|g|, |h|)``,
+    within an ulp or two of the exact root.
     """
     omega_c, delta, g, kappa = (
         np.asarray(value, dtype=float)[..., None] for value in (omega_c, delta, g, kappa)
@@ -102,14 +102,14 @@ def energies(omega_c, delta, g, kappa) -> np.ndarray:
     np.sqrt(root, out=root)
     # The extremes are reductions, so a sweep that needs no redo makes no mask.
     if root.size and (root.min() < _TINY_ROOT or root.max() == np.inf):
-        redo = (root < _TINY_ROOT) & ((g != 0.0) | (0.5 * x != 0.0))
+        half_x = 0.5 * x
+        redo = (root < _TINY_ROOT) & ((g != 0.0) | (half_x != 0.0))
         redo |= (root == np.inf) & np.isfinite(g) & np.isfinite(x)
-        wide_g, wide_x = np.broadcast_to(g, x.shape)[redo], x[redo]
-        m = np.maximum(np.abs(wide_g), 0.5 * np.abs(wide_x))
+        wide_g, half_x = np.broadcast_to(g, x.shape)[redo], half_x[redo]
+        m = np.maximum(np.abs(wide_g), np.abs(half_x))
         wide_g /= m
-        wide_x /= m  # then halved: 2m may overflow, and both round alike
-        wide_x *= 0.5
-        root[redo] = m * np.sqrt(wide_g * wide_g + wide_x * wide_x)
+        half_x /= m
+        root[redo] = m * np.sqrt(wide_g * wide_g + half_x * half_x)
     root *= _BRANCH
     x *= 0.5
     np.subtract(omega_c, x, out=x)

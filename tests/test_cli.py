@@ -890,6 +890,22 @@ class TestAtomicWrites:
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == (tmp_path / "file").read_bytes()
 
+    def test_absorption_csv_to_a_non_regular_file_refused(self, tmp_path, capsys):
+        # Its summary would be a new file beside the FIFO or device, such as
+        # /dev/stdout.summary.json; the run is refused before anything is written.
+        cfg = write(tmp_path / "run.cfg", ABSORPTION_CFG.replace("2001", "101"))
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so a writer cannot block
+        try:
+            assert main(["absorption", "--config", cfg, "--out", str(fifo)]) == 2
+            assert os.read(reader, 1) == b""  # no writer ever opened it
+        finally:
+            os.close(reader)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe", "run.cfg"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a regular file" in err
+
     def test_existing_mode_kept_new_mode_from_umask(self, tmp_path):
         out = tmp_path / "out.csv"
         out.write_bytes(b"stale\n")

@@ -116,6 +116,15 @@ class TestDoubletEnergies:
             for energy, expected in zip(scaled, unit):
                 assert abs(math.ldexp(energy, -k) - expected) <= 4 * math.ulp(expected), k
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_detuning_past_the_float_maximum(self, n):
+        # delta = omega_a - omega_c overflows while both levels stay finite;
+        # the root was inf and the energies (inf, -inf).
+        unit = jc_doublet_energies(SystemParams(-0.25, 1.75, 0.5), n)
+        scaled = jc_doublet_energies(SystemParams(*(math.ldexp(v, 1023) for v in (-0.25, 1.75, 0.5))), n)
+        assert math.isinf(SystemParams(-0.25, 1.75, 0.5).delta * 2.0**1023)
+        assert tuple(math.ldexp(energy, -1023) for energy in scaled) == unit
+
     def test_half_the_smallest_subnormal_detuning(self):
         # delta/2 rounds to 0, so the plain root is right; the redo's m was 0.
         assert jc_doublet_energies(SystemParams(0.0, 5e-324, 0.0), 1) == (0.0, 0.0)

@@ -33,9 +33,12 @@ def reference_energies(omega_c, delta, g, kappa):
     for label in BRANCHES:
         x = delta + label.epsilon * kappa
         total = g * g + 0.25 * x * x
-        if (total < sys.float_info.min and (g or x)) or (total == math.inf and math.isfinite(x)):
-            m = max(g, 0.5 * abs(x))
-            root = m * math.sqrt((g / m) ** 2 + (x / m / 2.0) ** 2)
+        h = 0.5 * x
+        if (total < sys.float_info.min and (g or h)) or (
+            total == math.inf and math.isfinite(g) and math.isfinite(x)
+        ):
+            m = max(g, abs(h))
+            root = m * math.sqrt((g / m) * (g / m) + (h / m) * (h / m))
         else:
             root = math.sqrt(total)
         out.append(omega_c - 0.5 * x + label.branch * root)
@@ -235,7 +238,7 @@ class TestScaleCovariance:
         assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(np.abs(unit)))
 
     def test_coupling_near_the_float_maximum(self):
-        # 2m = 2g overflows, so x/(2m) is taken as x/m halved.
+        # 2m = 2g would overflow; the redo divides h = x/2 by m instead.
         g = 1e308
         assert energies(0.0, g, g, 0.0) == pytest.approx([-0.5 * g + 1.25**0.5 * g, -0.5 * g - 1.25**0.5 * g] * 2)
 
@@ -260,7 +263,7 @@ class TestScaleCovariance:
         x = delta + _EPS * kappa
         root = np.sqrt(g * g + 0.25 * x * x)
         exponent = np.frexp(g * g + 0.25 * x * x)[1] + 2 * k
-        normal = (exponent > -1021) & (exponent <= 1024)
+        normal = (exponent >= -1021) & (exponent <= 1024)
         assert bits(scaled[normal]) == bits(unit[normal])
         largest = np.maximum(np.maximum(abs(omega_c), 0.5 * np.abs(x)), root)
         assert np.all(np.abs(scaled - unit) <= 4 * np.spacing(largest))
@@ -354,6 +357,8 @@ class TestSweep:
     )
     # x = delta - kappa is about 1.4e-166, so x*x/4 underflows.
     @example(omega_c=0.0, grid=[1.0000000000000002e-150], g=0.0, kappa=1e-150)
+    # g*g overflows, so every root is taken at unit scale.
+    @example(omega_c=0.0, grid=[3e199], g=1e200, kappa=5e199)
     def test_bitwise_equal_to_scalar_reference(self, omega_c, grid, g, kappa):
         sweep = sweep_spectrum(SystemParams(omega_c, omega_c, g, kappa), grid)
         for i, delta in enumerate(grid):
